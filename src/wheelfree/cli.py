@@ -137,8 +137,12 @@ def cmd_ends(args) -> int:
 
 def cmd_wm_cert(args) -> int:
     started = time.perf_counter()
+    try:
+        targets = [int(t) for t in args.targets.split(",")]
+    except ValueError:
+        raise GraphError(f"--targets must be comma-separated vertex ids, "
+                         f"got {args.targets!r}") from None
     graphs = _load_graphs(args)
-    targets = [int(t) for t in args.targets.split(",")]
     out: list[str] = []
     _header(out, "wm-cert", args.input)
     status = "ok"

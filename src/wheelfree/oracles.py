@@ -421,18 +421,26 @@ def parse_pool_descriptor(text: str) -> GraphPool:
             opts[key] = val
         else:
             flags.add(part)
+
+    def number(key: str, convert=int):
+        try:
+            return convert(opts[key])
+        except ValueError:
+            raise GraphError(f"pool descriptor {text!r}: "
+                             f"{key}={opts[key]!r} is not a number") from None
+
     filters = {
-        "min_degree": int(opts["min-degree"]) if "min-degree" in opts else None,
-        "connectivity_at_least": int(opts["connectivity-at-least"])
+        "min_degree": number("min-degree") if "min-degree" in opts else None,
+        "connectivity_at_least": number("connectivity-at-least")
         if "connectivity-at-least" in opts else None,
-        "wheel_free": int(opts["wheel-free"]) if "wheel-free" in opts else None,
+        "wheel_free": number("wheel-free") if "wheel-free" in opts else None,
     }
     try:
         if kind == "exhaustive":
-            return enumerate_graphs(int(opts["n"]), dedup="dedup" in flags, **filters)
+            return enumerate_graphs(number("n"), dedup="dedup" in flags, **filters)
         if kind == "random":
-            return random_pool(int(opts["n"]), float(opts["p"]), int(opts["seed"]),
-                               int(opts["count"]), **filters)
+            return random_pool(number("n"), number("p", float), number("seed"),
+                               number("count"), **filters)
     except KeyError as exc:
         raise GraphError(f"pool descriptor {text!r} is missing {exc}") from None
     raise GraphError(f"unknown pool kind {kind!r}")

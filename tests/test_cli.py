@@ -123,6 +123,18 @@ def test_wm_cert_cli(capsys, tmp_path):
     assert code == EXIT_OK
 
 
+def test_wm_cert_bad_targets_exit_usage(capsys, tmp_path):
+    from wheelfree import complete_bipartite, to_graph6
+
+    f = tmp_path / "k44.g6"
+    f.write_text(to_graph6(complete_bipartite(4)) + "\n")
+    code, out, err = run(capsys, "wm-cert", str(f), "--x", "0", "--targets", "4,5,a")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'4,5,a'" in err
+
+
 def test_verify_ok_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "thm-4.8", "--pool", "exhaustive:n=4")
     assert code == EXIT_OK
@@ -169,6 +181,16 @@ def test_verify_real_counterexample(capsys, tmp_path):
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "thm-0.0", "--pool", "exhaustive:n=2")
     assert code == EXIT_USAGE
+
+
+def test_verify_non_numeric_descriptor_values_exit_usage(capsys):
+    for pool in ("exhaustive:n=x", "random:n=5,p=abc,seed=1,count=3",
+                 "exhaustive:n=4,min-degree=x"):
+        code, out, err = run(capsys, "verify", "thm-4.8", "--pool", pool)
+        assert code == EXIT_USAGE, pool
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(pool) in err
 
 
 def test_reports_byte_stable(capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Canonical codes and isomorphism testing against brute permutation search."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
+
+from hypothesis import given, settings, strategies as st
 
 from wheelfree import (
     Graph,
@@ -11,9 +13,13 @@ from wheelfree import (
     complete_bipartite,
     circulant,
     cycle,
+    icosahedron,
     is_isomorphic,
+    petersen,
     relabel,
 )
+from wheelfree.isomorphism import _classes, _refine
+from wheelfree.oracles import _nonisomorphic_graphs
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
@@ -27,6 +33,20 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         ):
             return True
     return False
+
+
+def brute_code(g: Graph) -> int:
+    """The defining minimum: the smallest edge code over every order that
+    places the refinement classes block by block, each class permuted."""
+    best = None
+    for blocks in product(*(permutations(c) for c in _classes(_refine(g)))):
+        perm = [0] * g.n
+        for pos, v in enumerate(v for block in blocks for v in block):
+            perm[v] = pos
+        code = relabel(g, perm).edge_code()
+        if best is None or code < best:
+            best = code
+    return best
 
 
 def test_exhaustive_pairs_n4():
@@ -76,3 +96,54 @@ def test_k44_recognition_under_relabeling():
         assert is_isomorphic(relabel(k44, perm), k44)
     assert not is_isomorphic(complete(8), k44)
     assert not is_isomorphic(cycle(8), k44)
+
+
+def test_canonical_code_matches_brute_on_all_labeled_graphs_n5():
+    for n in range(1, 6):
+        for c in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_code(n, c)
+            assert canonical_code(g) == brute_code(g), (n, c)
+
+
+def test_canonical_code_matches_brute_on_random_graphs_n6_to_8():
+    rnd = random.Random(31)
+    for _ in range(40):
+        n = rnd.randint(6, 8)
+        g = Graph.from_edge_code(n, rnd.getrandbits(n * (n - 1) // 2))
+        assert canonical_code(g) == brute_code(g), g
+
+
+def test_class_representatives_are_their_own_brute_code():
+    # locks the dedup pools: each representative is the graph of its code
+    for n in range(1, 7):
+        for rep in _nonisomorphic_graphs(n):
+            code = rep.edge_code()
+            assert brute_code(rep) == code
+            assert canonical_code(rep) == code
+
+
+def test_high_symmetry_graphs_under_relabeling():
+    rnd = random.Random(12)
+    graphs = [icosahedron(), petersen(), circulant(10, (1, 2)), circulant(20, (1, 2)),
+              complete_bipartite(3, 20), complete_bipartite(4)]
+    for g in graphs:
+        code = canonical_code(g)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            assert canonical_code(relabel(g, perm)) == code
+        assert is_isomorphic(canonical_form(g), g)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    g = Graph.from_edge_code(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    return g, relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_pairs())
+def test_canonical_code_is_relabeling_invariant(pair):
+    g, h = pair
+    assert canonical_code(g) == canonical_code(h)
