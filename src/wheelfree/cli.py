@@ -15,7 +15,7 @@ import time
 from . import __version__
 from . import generators
 from .certificates import render, render_coloring, render_trace, render_verify_result, render_wm
-from .errors import GraphError, ParseError, ToolkitError
+from .errors import BudgetExceededError, GraphError, ParseError, ToolkitError
 from .formats import read_graphs, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
@@ -247,12 +247,19 @@ def cmd_conjecture(args) -> int:
     out.append(f"pool: {pool.descriptor}")
     checked = 0
     free = 0
+    over_budget = 0
     for g in pool:
         checked += 1
         if find_k_wheel(g, args.k) is not None:
             continue
         free += 1
-        chi = brute_chromatic_number(g)
+        if g.n <= args.k:
+            continue  # n colors always suffice
+        try:
+            chi = brute_chromatic_number(g)
+        except BudgetExceededError:
+            over_budget += 1
+            continue
         if chi > args.k:
             out.append("")
             out.append(f"candidate: {to_graph6(g)}")
@@ -260,7 +267,10 @@ def cmd_conjecture(args) -> int:
             _emit(out, args, started, "counterexample")
             return EXIT_COUNTEREXAMPLE
     out.append("")
-    out.append(f"summary: graphs={checked} wheel-free={free} over-chromatic=0")
+    summary = f"summary: graphs={checked} wheel-free={free} over-chromatic=0"
+    if over_budget:
+        summary += f" budget-exceeded={over_budget}"
+    out.append(summary)
     _emit(out, args, started, "ok")
     return EXIT_OK
 

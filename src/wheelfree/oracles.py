@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 from .errors import BudgetExceededError, GraphError
 from .graph import Graph, bits, mask_connected
 from .isomorphism import canonical_code
-from .wheels import Wheel, normalize_cycle
+from .wheels import Wheel, find_k_wheel, normalize_cycle
 
 ORACLE_BUDGET = 12
 
@@ -206,7 +206,7 @@ def _make_filter(min_degree: int | None, connectivity_at_least: int | None,
 
             if g.n < 1 or vertex_connectivity(g) < connectivity_at_least:
                 return False
-        if wheel_free is not None and brute_has_k_wheel(g, wheel_free) is not None:
+        if wheel_free is not None and find_k_wheel(g, wheel_free) is not None:
             return False
         return True
 

@@ -2,8 +2,11 @@
 certificates for vertex sets that no cycle can cover.
 
 The cycle searches are exact depth-first path searches with a
-reachability prune; wheel detection reduces to "is there a cycle through
-some k-subset of N(v) avoiding v".
+reachability prune.  Wheel detection at a center v is one bounded
+search in G - v per neighbor s of v, taken in ascending order: is there
+a cycle through s meeting at least k neighbors of v?  A branch is cut
+when the neighbors on the path plus those still reachable fall short of
+k, and each s that fails is deleted before the next search.
 """
 
 from __future__ import annotations
@@ -36,12 +39,24 @@ def is_cycle(g: Graph, seq) -> bool:
 def _cycle_through(adj: tuple[int, ...], req: int, forbidden: int) -> list[int] | None:
     """A cycle containing every vertex of ``req`` and avoiding ``forbidden``.
 
-    Exact: returns None only when no such cycle exists.  Deterministic:
-    neighbors are explored in ascending order.
+    Exact: returns None only when no such cycle exists.
     """
     if req & forbidden:
         return None
     start = (req & -req).bit_length() - 1
+    return _cycle_hitting(adj, start, req, req.bit_count(), forbidden)
+
+
+def _cycle_hitting(adj: tuple[int, ...], start: int, hit: int, k: int,
+                   forbidden: int) -> list[int] | None:
+    """A cycle through ``start`` that avoids ``forbidden`` and contains at
+    least k vertices of ``hit`` (``start`` counts when it is in ``hit``).
+
+    Exact: returns None only when no such cycle exists.  A branch is cut
+    only when the hits on the path plus the hits in the region it can
+    still reach fall short of k, or when that region holds no neighbor of
+    the start.  Deterministic: neighbors are explored in ascending order.
+    """
     startbit = 1 << start
     adj_start = adj[start]
     path = [start]
@@ -57,14 +72,15 @@ def _cycle_through(adj: tuple[int, ...], req: int, forbidden: int) -> list[int] 
         iters[-1] = m ^ b
         w = b.bit_length() - 1
         nvis = visited | b
-        if len(path) >= 2 and (adj[w] & startbit) and not req & ~nvis:
+        hits = (hit & nvis).bit_count()
+        if len(path) >= 2 and (adj[w] & startbit) and hits >= k:
             path.append(w)
             return path
         cand = adj[w] & ~nvis & ~forbidden
         if not cand:
             continue
         # prune: the rest of the cycle lives in the unvisited region reachable
-        # from w, and it must come back to a neighbor of the start
+        # from w, and its last vertex is a neighbor of the start
         reach = cand
         frontier = cand
         while frontier:
@@ -76,9 +92,9 @@ def _cycle_through(adj: tuple[int, ...], req: int, forbidden: int) -> list[int] 
                 nxt |= adj[bb.bit_length() - 1]
             frontier = nxt & ~nvis & ~forbidden & ~reach
             reach |= frontier
-        if req & ~nvis & ~reach:
+        if hits + (hit & reach).bit_count() < k:
             continue
-        if not (reach | b) & adj_start:
+        if not reach & adj_start:
             continue
         path.append(w)
         visited = nvis
@@ -202,24 +218,26 @@ def _wheel_at(g: Graph, v: int, rim: list[int]) -> Wheel:
 def is_wheel_center(g: Graph, v: int, k: int) -> Wheel | None:
     """A k-wheel centered at v, or None (exact).
 
-    Enumerates k-subsets of N(v) and looks for a cycle through the
-    subset avoiding v; a vertex of degree < k can never be a center.
+    One bounded search per neighbor s of v, in ascending order: look in
+    G - v for a cycle through s that meets at least k neighbors of v.
+    Once that fails, no k-wheel at v has s on its rim, so s is deleted
+    before the next search; the loop stops when fewer than k neighbors
+    remain.
     """
     if k < 3:
         raise GraphError("wheels need at least 3 spokes")
     if not 0 <= v < g.n:
         raise GraphError(f"vertex {v} out of range")
-    av = g.masks[v]
-    if av.bit_count() < k:
-        return None
-    fb = 1 << v
-    for sub in combinations(bits(av), k):
-        req = 0
-        for w in sub:
-            req |= 1 << w
-        rim = _cycle_through(g.masks, req, fb)
+    adj = g.masks
+    left = adj[v]
+    forbidden = 1 << v
+    while left.bit_count() >= k:
+        sb = left & -left
+        rim = _cycle_hitting(adj, sb.bit_length() - 1, left, k, forbidden)
         if rim is not None:
             return _wheel_at(g, v, rim)
+        forbidden |= sb
+        left ^= sb
     return None
 
 

@@ -193,6 +193,16 @@ def test_verify_non_numeric_descriptor_values_exit_usage(capsys):
         assert repr(pool) in err
 
 
+def test_verify_wheel_free_filter_past_oracle_budget(capsys):
+    """The wheel-free= pool filter runs the exact search, not the n <= 12
+    brute oracle, so n=13 pools fill instead of crashing."""
+    code, out, err = run(capsys, "verify", "thm-4.8", "--pool",
+                         "random:n=13,p=0.3,seed=1,count=20,wheel-free=4")
+    assert code == EXIT_OK
+    assert err == ""
+    assert "summary: graphs=20 " in out
+
+
 def test_reports_byte_stable(capsys, tmp_path):
     f = tmp_path / "k4.g6"
     f.write_text("C~\n")
@@ -215,6 +225,28 @@ def test_conjecture_search_small(capsys):
     )
     assert code == EXIT_OK
     assert "over-chromatic=0" in out
+
+
+def test_conjecture_skips_oracle_when_n_colors_suffice(capsys, tmp_path):
+    from wheelfree import complete, to_graph6
+
+    f = tmp_path / "k13.g6"
+    f.write_text(to_graph6(complete(13)) + "\n")
+    code, out, err = run(capsys, "conjecture", "--k", "20", "--pool", f"file:{f}")
+    assert code == EXIT_OK
+    assert err == ""
+    assert "summary: graphs=1 wheel-free=1 over-chromatic=0\n" in out
+
+
+def test_conjecture_counts_budget_overruns(capsys, tmp_path):
+    from wheelfree import cycle, to_graph6
+
+    f = tmp_path / "c13.g6"
+    f.write_text(to_graph6(cycle(13)) + "\n")
+    code, out, err = run(capsys, "conjecture", "--k", "3", "--pool", f"file:{f}")
+    assert code == EXIT_OK
+    assert err == ""
+    assert "summary: graphs=1 wheel-free=1 over-chromatic=0 budget-exceeded=1\n" in out
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Cycle-through search, wheel detection, and cutset certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wheelfree import (
     Graph,
@@ -16,6 +17,7 @@ from wheelfree import (
     is_k_wheel_free,
     is_wheel_center,
     petersen,
+    relabel,
     tight_example,
     wheel_centers,
     wm_certificate,
@@ -150,6 +152,71 @@ def test_almost_4_wheel_free():
     assert is_almost_4_wheel_free(complete_bipartite(4))  # W empty
     assert is_almost_4_wheel_free(complete(4))            # no wheels at all
     assert not is_almost_4_wheel_free(complete(6))        # W is everything
+
+
+def _brute_spokes(g: Graph) -> list[int]:
+    """For each vertex v, the most neighbors of v on one cycle avoiding v,
+    by cycle listing; v centers a k-wheel iff this is at least k."""
+    from wheelfree.oracles import _iter_cycles
+
+    best = [0] * g.n
+    for mask, _ in _iter_cycles(g.masks, g.n):
+        for v in range(g.n):
+            if not (mask >> v) & 1:
+                best[v] = max(best[v], (mask & g.masks[v]).bit_count())
+    return best
+
+
+def test_wheel_centers_agree_with_cycle_listing():
+    """Per-vertex center status, not just the whole-graph verdict, for
+    every labeled graph with n <= 6."""
+    for n in range(1, 7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_code(n, code)
+            best = _brute_spokes(g)
+            for k in (3, 4, 5):
+                expected = tuple(v for v in range(n) if best[v] >= k)
+                assert wheel_centers(g, k) == expected, (n, code, k)
+
+
+@pytest.mark.parametrize("a, b", [(3, 12), (3, 16), (3, 20), (4, 4)])
+def test_complete_bipartite_is_4_wheel_free(a, b):
+    # a cycle of G - v alternates sides, so it meets at most 3 neighbors of v
+    assert find_k_wheel(complete_bipartite(a, b), 4) is None
+
+
+@pytest.mark.parametrize("d", [5, 6])
+def test_k4d_has_4_wheel(d):
+    g = complete_bipartite(4, d)
+    w = find_k_wheel(g, 4)
+    assert w is not None
+    w.validate(g, 4)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    # AND-ing up to four uniform edge codes spreads the density over
+    # 1/2 .. 1/16, so both wheel-free and wheeled graphs are drawn
+    full = (1 << (n * (n - 1) // 2)) - 1
+    code = full
+    for _ in range(draw(st.integers(1, 4))):
+        code &= draw(st.integers(0, full))
+    g = Graph.from_edge_code(n, code)
+    return g, relabel(g, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabeled_pairs())
+def test_4_wheel_verdict_is_relabeling_invariant(pair):
+    from wheelfree.oracles import brute_has_k_wheel
+
+    g, h = pair
+    wg, wh = find_k_wheel(g, 4), find_k_wheel(h, 4)
+    assert (wg is None) == (wh is None) == (brute_has_k_wheel(g, 4) is None)
+    for graph, w in ((g, wg), (h, wh)):
+        if w is not None:
+            w.validate(graph, 4)
 
 
 # -- Watkins-Mesner certificates --------------------------------------------------
