@@ -256,3 +256,209 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run(capsys, "kappa", "-")
     assert code == EXIT_OK
     assert "kappa: 3" in out
+
+
+_GOLDEN_REPORTS = {
+    ("wheel", "graphs.g6", "--k", "4"): r"""report: wheel
+version: 0.1.0
+input: graphs.g6
+
+graph 1: C~
+status: 4-wheel-free
+
+graph 2: Dhc
+status: 4-wheel-free
+
+graph 3: G?~vf_
+status: 4-wheel-free
+
+graph 4: IheA@GUAo
+status: 4-wheel-free
+
+graph 5: Ej\w
+status: contains-4-wheel
+certificate: wheel
+center: 1
+rim: 2 3 4 5
+spokes: 1-2 1-3 1-4 1-5
+
+summary: graphs=5 with-wheel=1
+status: ok
+""",
+    ("kappa", "graphs.g6"): r"""report: kappa
+version: 0.1.0
+input: graphs.g6
+
+graph 1: C~
+kappa: 3
+
+graph 2: Dhc
+kappa: 2
+
+graph 3: G?~vf_
+kappa: 4
+
+graph 4: IheA@GUAo
+kappa: 3
+
+graph 5: Ej\w
+kappa: 1
+
+summary: graphs=5
+status: ok
+""",
+    ("ends", "graphs.g6"): r"""report: ends
+version: 0.1.0
+input: graphs.g6
+
+graph 1: C~
+ends: none (complete graphs and the single vertex have no fragments)
+
+graph 2: Dhc
+ends: 5
+end: 0
+end: 1
+end: 2
+end: 3
+end: 4
+
+graph 3: G?~vf_
+ends: 8
+end: 0
+end: 1
+end: 2
+end: 3
+end: 4
+end: 5
+end: 6
+end: 7
+
+graph 4: IheA@GUAo
+ends: 10
+end: 0
+end: 1
+end: 2
+end: 3
+end: 4
+end: 5
+end: 6
+end: 7
+end: 8
+end: 9
+
+graph 5: Ej\w
+ends: 2
+end: 0
+end: 2 3 4 5
+
+summary: graphs=5
+status: ok
+""",
+    ("color4", "graphs.g6", "--emit-trace"): r"""report: color4
+version: 0.1.0
+input: graphs.g6
+
+graph 1: C~
+status: colored
+colors-used: 4
+certificate: coloring
+palette: 4
+colors: 3 2 1 0
+certificate: reduction-trace
+step 1: low-degree remove=0 bound=3
+step 2: low-degree remove=1 bound=3
+step 3: low-degree remove=2 bound=3
+step 4: low-degree remove=3 bound=3
+
+graph 2: Dhc
+status: colored
+colors-used: 3
+certificate: coloring
+palette: 4
+colors: 2 1 0 1 0
+certificate: reduction-trace
+step 1: low-degree remove=0 bound=3
+step 2: low-degree remove=1 bound=3
+step 3: low-degree remove=2 bound=3
+step 4: low-degree remove=3 bound=3
+step 5: low-degree remove=4 bound=3
+
+graph 3: G?~vf_
+status: colored
+colors-used: 2
+certificate: coloring
+palette: 4
+colors: 1 1 1 1 0 0 0 0
+certificate: reduction-trace
+step 1: twins remove=0 keep=1
+step 2: low-degree remove=4 bound=3
+step 3: low-degree remove=1 bound=3
+step 4: low-degree remove=2 bound=3
+step 5: low-degree remove=3 bound=3
+step 6: low-degree remove=5 bound=3
+step 7: low-degree remove=6 bound=3
+step 8: low-degree remove=7 bound=3
+
+graph 4: IheA@GUAo
+status: colored
+colors-used: 3
+certificate: coloring
+palette: 4
+colors: 0 2 0 2 1 2 1 1 0 0
+certificate: reduction-trace
+step 1: low-degree remove=0 bound=3
+step 2: low-degree remove=1 bound=3
+step 3: low-degree remove=2 bound=3
+step 4: low-degree remove=3 bound=3
+step 5: low-degree remove=4 bound=3
+step 6: low-degree remove=5 bound=3
+step 7: low-degree remove=6 bound=3
+step 8: low-degree remove=7 bound=3
+step 9: low-degree remove=8 bound=3
+step 10: low-degree remove=9 bound=3
+
+graph 5: Ej\w
+status: contains-4-wheel
+certificate: wheel
+center: 1
+rim: 2 3 4 5
+spokes: 1-2 1-3 1-4 1-5
+certificate: reduction-trace
+step 1: low-degree remove=0 bound=3
+
+summary: graphs=5
+status: ok
+""",
+    ("wm-cert", "k44.g6", "--x", "4", "--X", "0,1,2,3"): r"""report: wm-cert
+version: 0.1.0
+input: k44.g6
+
+graph 1: G?~vf_
+status: certified
+certificate: watkins-mesner
+x: 4
+targets: 0 1 2 3
+cutset: 5 6 7
+component 0: 0
+component 1: 1
+component 2: 2
+component 3: 3
+
+summary: graphs=1
+status: ok
+""",
+}
+
+
+def test_reports_golden(capsys, tmp_path, monkeypatch):
+    """The full stdout of each per-graph report, pinned as literal text."""
+    from wheelfree import Graph, complete, complete_bipartite, cycle, petersen, to_graph6
+
+    k5_pendant = Graph(6, [(0, 1)] + [(u, v) for u in range(1, 6) for v in range(u + 1, 6)])
+    graphs = [complete(4), cycle(5), complete_bipartite(4), petersen(), k5_pendant]
+    (tmp_path / "graphs.g6").write_text("".join(to_graph6(g) + "\n" for g in graphs))
+    (tmp_path / "k44.g6").write_text(to_graph6(complete_bipartite(4)) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for argv, expected in _GOLDEN_REPORTS.items():
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_OK, expected, ""), argv
