@@ -28,21 +28,13 @@ EXIT_USAGE = 2
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
-
-
-def _load_graphs(args) -> list:
-    text = _read_input(args.input)
-    return read_graphs(text, fmt=args.format)
-
-
-def _header(out, command: str, descriptor: str) -> None:
-    out.append(f"report: {command}")
-    out.append(f"version: {__version__}")
-    out.append(f"input: {descriptor}")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: input is not text ({exc.reason})") from None
 
 
 def _emit(out, args, started: float, status: str) -> None:
@@ -52,14 +44,30 @@ def _emit(out, args, started: float, status: str) -> None:
     print("\n".join(out))
 
 
-def cmd_color4(args) -> int:
+def _per_graph(args, command: str, report, count_key: str | None = None) -> int:
+    """Shared driver of the per-graph commands: ``report(g, out)`` appends
+    the lines for one graph; graphs for which it returns true are counted
+    in the summary as ``count_key=<m>`` when a key is given."""
     started = time.perf_counter()
-    graphs = _load_graphs(args)
-    out: list[str] = []
-    _header(out, "color4", args.input)
+    graphs = read_graphs(_read_input(args.input), fmt=args.format)
+    out = [f"report: {command}", f"version: {__version__}", f"input: {args.input}"]
+    counted = 0
     for i, g in enumerate(graphs, start=1):
         out.append("")
         out.append(f"graph {i}: {to_graph6(g)}")
+        if report(g, out):
+            counted += 1
+    out.append("")
+    summary = f"summary: graphs={len(graphs)}"
+    if count_key is not None:
+        summary += f" {count_key}={counted}"
+    out.append(summary)
+    _emit(out, args, started, "ok")
+    return EXIT_OK
+
+
+def cmd_color4(args) -> int:
+    def report(g, out):
         result = color4(g)
         if result.succeeded:
             out.append("status: colored")
@@ -70,95 +78,56 @@ def cmd_color4(args) -> int:
             out.append(render(result.stuck.wheel))
         if args.emit_trace:
             out.append(render_trace(result.trace))
-    out.append("")
-    out.append(f"summary: graphs={len(graphs)}")
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+
+    return _per_graph(args, "color4", report)
 
 
 def cmd_wheel(args) -> int:
-    started = time.perf_counter()
-    graphs = _load_graphs(args)
-    out: list[str] = []
-    _header(out, "wheel", args.input)
-    found = 0
-    for i, g in enumerate(graphs, start=1):
-        out.append("")
-        out.append(f"graph {i}: {to_graph6(g)}")
+    def report(g, out):
         wheel = find_k_wheel(g, args.k)
         if wheel is None:
             out.append(f"status: {args.k}-wheel-free")
-        else:
-            found += 1
-            out.append(f"status: contains-{args.k}-wheel")
-            out.append(render(wheel))
-    out.append("")
-    out.append(f"summary: graphs={len(graphs)} with-wheel={found}")
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+            return False
+        out.append(f"status: contains-{args.k}-wheel")
+        out.append(render(wheel))
+        return True
+
+    return _per_graph(args, "wheel", report, count_key="with-wheel")
 
 
 def cmd_kappa(args) -> int:
-    started = time.perf_counter()
-    graphs = _load_graphs(args)
-    out: list[str] = []
-    _header(out, "kappa", args.input)
-    for i, g in enumerate(graphs, start=1):
-        out.append("")
-        out.append(f"graph {i}: {to_graph6(g)}")
-        out.append(f"kappa: {vertex_connectivity(g)}")
-    out.append("")
-    out.append(f"summary: graphs={len(graphs)}")
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+    return _per_graph(args, "kappa", lambda g, out: out.append(f"kappa: {vertex_connectivity(g)}"))
 
 
 def cmd_ends(args) -> int:
-    started = time.perf_counter()
-    graphs = _load_graphs(args)
-    out: list[str] = []
-    _header(out, "ends", args.input)
-    for i, g in enumerate(graphs, start=1):
-        out.append("")
-        out.append(f"graph {i}: {to_graph6(g)}")
+    def report(g, out):
         try:
             end_list = ends(g)
         except ToolkitError as exc:
             out.append(f"ends: none ({exc})")
-            continue
+            return
         out.append(f"ends: {len(end_list)}")
-        for f in end_list:
-            out.append(f"end: {' '.join(str(v) for v in f)}")
-    out.append("")
-    out.append(f"summary: graphs={len(graphs)}")
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+        out.extend(f"end: {' '.join(str(v) for v in f)}" for f in end_list)
+
+    return _per_graph(args, "ends", report)
 
 
 def cmd_wm_cert(args) -> int:
-    started = time.perf_counter()
     try:
         targets = [int(t) for t in args.targets.split(",")]
     except ValueError:
         raise GraphError(f"--targets must be comma-separated vertex ids, "
                          f"got {args.targets!r}") from None
-    graphs = _load_graphs(args)
-    out: list[str] = []
-    _header(out, "wm-cert", args.input)
-    status = "ok"
-    for i, g in enumerate(graphs, start=1):
-        out.append("")
-        out.append(f"graph {i}: {to_graph6(g)}")
+
+    def report(g, out):
         cert = wm_certificate(g, args.x, targets)
         if cert is None:
             out.append("status: no-certificate")
         else:
             out.append("status: certified")
             out.append(render_wm(cert))
-    out.append("")
-    out.append(f"summary: graphs={len(graphs)}")
-    _emit(out, args, started, status)
-    return EXIT_OK
+
+    return _per_graph(args, "wm-cert", report)
 
 
 def cmd_verify(args) -> int:
@@ -341,13 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except GraphError as exc:
+    except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

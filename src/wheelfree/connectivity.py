@@ -18,7 +18,7 @@ from .errors import (
     NoFragmentsError,
     TheoremViolationError,
 )
-from .graph import Graph, VertexSet, bits, induced_subgraph, mask_connected
+from .graph import Graph, VertexSet, bits, induced_subgraph, reach, set_neighbors
 
 
 # -------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def vertex_connectivity(g: Graph) -> int:
     if best == n - 1:
         return n - 1
     full = (1 << n) - 1
-    if not mask_connected(adj, full):
+    if reach(adj, 1, full) != full:
         return 0
     # Some vertex of {v0} u N(v0) lies outside any minimum cutset, and every
     # vertex across that cutset from it is non-adjacent to it, so these pairs
@@ -335,12 +335,18 @@ def is_fragment(g: Graph, f: VertexSet) -> bool:
     if fmask == 0 or fmask == (1 << g.n) - 1:
         return False
     kappa = vertex_connectivity(g)
-    nb = 0
-    for v in bits(fmask):
-        nb |= g.masks[v]
-    nb &= ~fmask
+    nb = set_neighbors(g.masks, fmask)
     fbar = (1 << g.n) - 1 & ~fmask & ~nb
     return nb.bit_count() == kappa and fbar != 0
+
+
+def _fragment_scan(g: Graph, budget: int, what: str) -> list[int]:
+    """Masks of all fragments, after the budget and no-fragments guards."""
+    if g.n > budget:
+        raise BudgetExceededError(f"{what} enumeration budget is n <= {budget}, got {g.n}")
+    if g.n <= 1 or g.is_complete():
+        raise NoFragmentsError("complete graphs and the single vertex have no fragments")
+    return _fragment_masks(g.masks, g.n, vertex_connectivity(g))
 
 
 def fragments(g: Graph, budget: int = 20) -> list[tuple[int, ...]]:
@@ -350,23 +356,12 @@ def fragments(g: Graph, budget: int = 20) -> list[tuple[int, ...]]:
     (which have none), and BudgetExceededError instead of guessing when
     the subset enumeration would be too large.
     """
-    if g.n > budget:
-        raise BudgetExceededError(f"fragment enumeration budget is n <= {budget}, got {g.n}")
-    if g.n <= 1 or g.is_complete():
-        raise NoFragmentsError("complete graphs and the single vertex have no fragments")
-    kappa = vertex_connectivity(g)
-    masks = _fragment_masks(g.masks, g.n, kappa)
-    return sorted(tuple(bits(m)) for m in masks)
+    return sorted(tuple(bits(m)) for m in _fragment_scan(g, budget, "fragment"))
 
 
 def ends(g: Graph, budget: int = 20) -> list[tuple[int, ...]]:
     """All ends (inclusion-minimal fragments), sorted lexicographically."""
-    if g.n > budget:
-        raise BudgetExceededError(f"end enumeration budget is n <= {budget}, got {g.n}")
-    if g.n <= 1 or g.is_complete():
-        raise NoFragmentsError("complete graphs and the single vertex have no fragments")
-    kappa = vertex_connectivity(g)
-    masks = _fragment_masks(g.masks, g.n, kappa)
+    masks = _fragment_scan(g, budget, "end")
     minimal = [f for f in masks if not any(h != f and h & ~f == 0 for h in masks)]
     return sorted(tuple(bits(m)) for m in minimal)
 
@@ -419,10 +414,7 @@ def end_block(g: Graph, f: VertexSet, verify: bool = False, budget: int = 20) ->
     fverts = tuple(bits(fmask))
     if fverts not in ends(g, budget=budget):
         raise GraphError(f"{fverts} is not an end of the graph")
-    nb = 0
-    for v in fverts:
-        nb |= g.masks[v]
-    nb &= ~fmask
+    nb = set_neighbors(g.masks, fmask)
     attachment = tuple(bits(nb))
     keep = tuple(bits(fmask | nb))
     sub, idmap = induced_subgraph(g, keep)

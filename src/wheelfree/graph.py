@@ -154,7 +154,8 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             return True
-        return mask_connected(self._adj, (1 << self.n) - 1)
+        full = (1 << self.n) - 1
+        return reach(self._adj, 1, full) == full
 
     def vertex_mask(self, vertices: VertexSet) -> int:
         return _mask_of(vertices, self.n)
@@ -173,41 +174,32 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())})"
 
 
-def mask_connected(adj: tuple[int, ...], live: int) -> bool:
-    """True iff the vertices in ``live`` induce a connected subgraph.
-
-    The empty and one-vertex subgraphs count as connected.
-    """
-    if live == 0:
-        return True
-    comp = live & -live
-    frontier = comp
+def reach(adj: tuple[int, ...], seeds: int, allowed: int) -> int:
+    """Mask of ``seeds`` plus every vertex reachable from them by a path
+    whose vertices after the seed all lie in ``allowed``."""
+    comp = seeds
+    frontier = seeds
     while frontier:
-        reach = 0
+        nxt = 0
         m = frontier
         while m:
             b = m & -m
             m ^= b
-            reach |= adj[b.bit_length() - 1]
-        frontier = reach & live & ~comp
-        comp |= frontier
-    return comp == live
-
-
-def component_of(adj: tuple[int, ...], live: int, v: int) -> int:
-    """Mask of the connected component of ``v`` within ``live``."""
-    comp = 1 << v
-    frontier = comp
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            b = m & -m
-            m ^= b
-            reach |= adj[b.bit_length() - 1]
-        frontier = reach & live & ~comp
+            nxt |= adj[b.bit_length() - 1]
+        frontier = nxt & allowed & ~comp
         comp |= frontier
     return comp
+
+
+def set_neighbors(adj: tuple[int, ...], fmask: int) -> int:
+    """Mask of N(F): vertices outside ``fmask`` adjacent to some vertex of it."""
+    nb = 0
+    m = fmask
+    while m:
+        b = m & -m
+        m ^= b
+        nb |= adj[b.bit_length() - 1]
+    return nb & ~fmask
 
 
 def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
@@ -234,11 +226,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
 
 def neighborhood(g: Graph, f: VertexSet) -> tuple[int, ...]:
     """N(F): vertices outside F adjacent to at least one vertex of F."""
-    fmask = _mask_of(f, g.n)
-    reach = 0
-    for v in bits(fmask):
-        reach |= g._adj[v]
-    return tuple(bits(reach & ~fmask))
+    return tuple(bits(set_neighbors(g._adj, _mask_of(f, g.n))))
 
 
 def frontier_complement(g: Graph, f: VertexSet) -> tuple[int, ...]:
@@ -247,8 +235,5 @@ def frontier_complement(g: Graph, f: VertexSet) -> tuple[int, ...]:
     Together with F and N(F) this partitions the vertex set.
     """
     fmask = _mask_of(f, g.n)
-    reach = 0
-    for v in bits(fmask):
-        reach |= g._adj[v]
     full = (1 << g.n) - 1
-    return tuple(bits(full & ~fmask & ~reach))
+    return tuple(bits(full & ~fmask & ~set_neighbors(g._adj, fmask)))

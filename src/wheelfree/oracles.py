@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 from .errors import BudgetExceededError, GraphError
-from .graph import Graph, bits, mask_connected
+from .graph import Graph, bits, reach
 from .isomorphism import canonical_code
 from .wheels import Wheel, find_k_wheel, normalize_cycle
 
@@ -164,7 +164,8 @@ def brute_vertex_connectivity(g: Graph) -> int:
     full = (1 << n) - 1
     for size in range(0, n - 1):
         for smask in _subset_masks(n, size):
-            if not mask_connected(adj, full & ~smask):
+            live = full & ~smask
+            if reach(adj, live & -live, live) != live:
                 return size
     return n - 1
 
@@ -245,7 +246,7 @@ class GraphPool:
         def factory() -> Iterator[Graph]:
             from .formats import parse_graph6
 
-            with open(path) as fh:
+            with open(path, "rb") as fh:
                 for line in fh:
                     line = line.strip()
                     if line:

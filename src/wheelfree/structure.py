@@ -85,19 +85,39 @@ class ReductionTrace:
         return iter(self.steps)
 
 
-def find_twins(g: Graph) -> tuple[int, int] | None:
-    """The lexicographically first twin pair, or None.
+def _twins(adj: tuple[int, ...], live: int) -> tuple[int, int] | None:
+    """The lexicographically first pair u < v in ``live`` whose
+    neighborhoods within ``live`` are equal, or None.
 
-    Equal adjacency masks already force non-adjacency (an adjacent pair
-    with equal neighborhoods would need a loop).
+    Equal masks already force non-adjacency (an adjacent pair with equal
+    neighborhoods would need a loop).
     """
-    adj = g.masks
-    for u in range(g.n):
-        au = adj[u]
-        for v in range(u + 1, g.n):
-            if adj[v] == au:
+    lv = list(bits(live))
+    for i, u in enumerate(lv):
+        au = adj[u] & live
+        for v in lv[i + 1:]:
+            if adj[v] & live == au:
                 return (u, v)
     return None
+
+
+def _reduction_step(adj: tuple[int, ...], live: int, bound: int) -> LowDegree | TwinPair | None:
+    """The first vertex of ``live`` with at most ``bound`` neighbors in
+    ``live``, else the first twin pair of G[live], else None."""
+    m = live
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        if (adj[v] & live).bit_count() <= bound:
+            return LowDegree(vertex=v, bound=bound)
+    tw = _twins(adj, live)
+    return None if tw is None else TwinPair(u=tw[0], v=tw[1])
+
+
+def find_twins(g: Graph) -> tuple[int, int] | None:
+    """The lexicographically first twin pair, or None."""
+    return _twins(g.masks, (1 << g.n) - 1)
 
 
 def reduction_witness(g: Graph, k: int = 4) -> ReductionWitness:
@@ -111,18 +131,14 @@ def reduction_witness(g: Graph, k: int = 4) -> ReductionWitness:
         raise GraphError("reduction modes are k=3 and k=4")
     if g.n < 1:
         raise GraphError("reduction needs at least one vertex")
-    bound = k - 1
-    for v in range(g.n):
-        if g.degree(v) <= bound:
-            return LowDegree(vertex=v, bound=bound)
-    tw = find_twins(g)
-    if tw is not None:
-        return TwinPair(u=tw[0], v=tw[1])
+    witness = _reduction_step(g.masks, (1 << g.n) - 1, k - 1)
+    if witness is not None:
+        return witness
     wheel = find_k_wheel(g, k)
     if wheel is not None:
         return Stuck(wheel=wheel)
     raise TheoremViolationError(
-        f"graph with min degree > {bound} and no twins contains no {k}-wheel", graph=g
+        f"graph with min degree > {k - 1} and no twins contains no {k}-wheel", graph=g
     )
 
 
@@ -185,25 +201,7 @@ def _color_by_reduction(g: Graph, k: int) -> ColoringResult:
     live = (1 << n) - 1
     trace = ReductionTrace()
     while live:
-        witness = None
-        m = live
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            if (adj[v] & live).bit_count() <= bound:
-                witness = LowDegree(vertex=v, bound=bound)
-                break
-        if witness is None:
-            lv = list(bits(live))
-            for i, u in enumerate(lv):
-                au = adj[u] & live
-                for v in lv[i + 1:]:
-                    if adj[v] & live == au:
-                        witness = TwinPair(u=u, v=v)
-                        break
-                if witness:
-                    break
+        witness = _reduction_step(adj, live, bound)
         if witness is None:
             sub_ids = list(bits(live))
             sub, idmap = induced_subgraph(g, sub_ids)
@@ -277,14 +275,6 @@ def _witness_statement(statement: str, g: Graph, k: int) -> VerifyResult:
     return VerifyResult(statement, VerifyStatus.NOT_APPLICABLE,
                         detail=f"contains a {k}-wheel", certificates=(w.wheel,),
                         counters={"has-wheel": 1})
-
-
-def _check_main_reduction(g: Graph) -> VerifyResult:
-    return _witness_statement("thm-4.8", g, 4)
-
-
-def _check_three_wheel_reduction(g: Graph) -> VerifyResult:
-    return _witness_statement("thm-1.1", g, 3)
 
 
 def _check_degree_bound(g: Graph) -> VerifyResult:
@@ -440,9 +430,11 @@ def _check_triangle_centers(g: Graph) -> VerifyResult:
 
 
 STATEMENTS = {
-    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3", _check_main_reduction),
-    "thm-1.4": ("alias of thm-4.8", _check_main_reduction),
-    "thm-1.1": ("3-wheel-free: twin pair or a vertex of degree <= 2", _check_three_wheel_reduction),
+    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3",
+                lambda g: _witness_statement("thm-4.8", g, 4)),
+    "thm-1.4": ("alias of thm-4.8", lambda g: _witness_statement("thm-1.4", g, 4)),
+    "thm-1.1": ("3-wheel-free: twin pair or a vertex of degree <= 2",
+                lambda g: _witness_statement("thm-1.1", g, 3)),
     "thm-1.2": ("4-wheel-free: some vertex has degree <= 4", _check_degree_bound),
     "cor-1.5": ("4-wheel-free graphs are 4-colorable", _check_coloring),
     "thm-4.4": ("4-connected almost-4-wheel-free graphs are K_{4,4}", _check_four_connected),
@@ -467,9 +459,8 @@ def verify_statement(g: Graph, statement: str) -> VerifyResult:
     except KeyError:
         raise GraphError(f"unknown statement {statement!r}; known: {sorted(STATEMENTS)}") from None
     try:
-        result = checker(g)
+        return checker(g)
     except BudgetExceededError as exc:
         return VerifyResult(statement, VerifyStatus.BUDGET_EXCEEDED, detail=str(exc))
-    if statement == "thm-1.4":
-        result.statement = "thm-1.4"
-    return result
+    except TheoremViolationError as exc:
+        return VerifyResult(statement, VerifyStatus.COUNTEREXAMPLE, detail=str(exc))

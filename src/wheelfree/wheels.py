@@ -16,7 +16,7 @@ from itertools import combinations
 
 from .connectivity import vertex_connectivity
 from .errors import CertificateError, GraphError, TheoremViolationError
-from .graph import Graph, VertexSet, bits, component_of, induced_subgraph
+from .graph import Graph, VertexSet, bits, induced_subgraph, reach
 
 
 def normalize_cycle(seq) -> tuple[int, ...]:
@@ -43,25 +43,25 @@ def _cycle_through(adj: tuple[int, ...], req: int, forbidden: int) -> list[int] 
     """
     if req & forbidden:
         return None
-    start = (req & -req).bit_length() - 1
-    return _cycle_hitting(adj, start, req, req.bit_count(), forbidden)
+    return _cycle_hitting(adj, [(req & -req).bit_length() - 1], req, req.bit_count(), forbidden)
 
 
-def _cycle_hitting(adj: tuple[int, ...], start: int, hit: int, k: int,
+def _cycle_hitting(adj: tuple[int, ...], path: list[int], hit: int, k: int,
                    forbidden: int) -> list[int] | None:
-    """A cycle through ``start`` that avoids ``forbidden`` and contains at
-    least k vertices of ``hit`` (``start`` counts when it is in ``hit``).
+    """A cycle that starts with the prefix ``path`` ([s] for a cycle
+    through s, [b, a] for one through the edge ab), avoids ``forbidden``
+    and contains at least k vertices of ``hit`` (prefix vertices count).
 
     Exact: returns None only when no such cycle exists.  A branch is cut
     only when the hits on the path plus the hits in the region it can
     still reach fall short of k, or when that region holds no neighbor of
-    the start.  Deterministic: neighbors are explored in ascending order.
+    ``path[0]``.  Deterministic: neighbors are explored in ascending order.
+    The list ``path`` is extended in place and returned on success.
     """
-    startbit = 1 << start
-    adj_start = adj[start]
-    path = [start]
-    visited = startbit
-    iters = [adj_start & ~forbidden]
+    startbit = 1 << path[0]
+    adj_start = adj[path[0]]
+    visited = startbit | 1 << path[-1]
+    iters = [adj[path[-1]] & ~visited & ~forbidden]
     while iters:
         m = iters[-1]
         if not m:
@@ -81,65 +81,10 @@ def _cycle_hitting(adj: tuple[int, ...], start: int, hit: int, k: int,
             continue
         # prune: the rest of the cycle lives in the unvisited region reachable
         # from w, and its last vertex is a neighbor of the start
-        reach = cand
-        frontier = cand
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                bb = mm & -mm
-                mm ^= bb
-                nxt |= adj[bb.bit_length() - 1]
-            frontier = nxt & ~nvis & ~forbidden & ~reach
-            reach |= frontier
-        if hits + (hit & reach).bit_count() < k:
+        region = reach(adj, cand, ~nvis & ~forbidden)
+        if hits + (hit & region).bit_count() < k:
             continue
-        if not reach & adj_start:
-            continue
-        path.append(w)
-        visited = nvis
-        iters.append(cand)
-    return None
-
-
-def _path_through(adj: tuple[int, ...], a: int, b: int, req: int, forbid_first: int) -> list[int] | None:
-    """A simple path from a to b of length >= 2 edges covering ``req``,
-    whose first step avoids the vertices in ``forbid_first``."""
-    bbit = 1 << b
-    path = [a]
-    visited = 1 << a
-    iters = [adj[a] & ~forbid_first & ~bbit]
-    while iters:
-        m = iters[-1]
-        if not m:
-            iters.pop()
-            visited ^= 1 << path.pop()
-            continue
-        nb = m & -m
-        iters[-1] = m ^ nb
-        w = nb.bit_length() - 1
-        nvis = visited | nb
-        if (adj[w] & bbit) and not req & ~(nvis | bbit):
-            path.append(w)
-            path.append(b)
-            return path
-        cand = adj[w] & ~nvis & ~bbit
-        if not cand:
-            continue
-        reach = cand
-        frontier = cand
-        while frontier:
-            nxt = 0
-            mm = frontier
-            while mm:
-                bb2 = mm & -mm
-                mm ^= bb2
-                nxt |= adj[bb2.bit_length() - 1]
-            frontier = nxt & ~nvis & ~bbit & ~reach
-            reach |= frontier
-        if req & ~nvis & ~bbit & ~reach:
-            continue
-        if not (reach | nb) & adj[b]:
+        if not region & adj_start:
             continue
         path.append(w)
         visited = nvis
@@ -164,9 +109,8 @@ def find_cycle_through_edge(g: Graph, edge: tuple[int, int], targets: VertexSet)
     a, b = edge
     if not g.has_edge(a, b):
         raise GraphError(f"({a},{b}) is not an edge")
-    req = g.vertex_mask(targets)
-    # a cycle through the edge ab = edge ab plus an a-b path of >= 2 edges
-    found = _path_through(g.masks, a, b, req & ~(1 << a) & ~(1 << b), 1 << b)
+    hit = g.vertex_mask(targets) | 1 << a | 1 << b
+    found = _cycle_hitting(g.masks, [b, a], hit, hit.bit_count(), 0)
     return normalize_cycle(found) if found else None
 
 
@@ -233,7 +177,7 @@ def is_wheel_center(g: Graph, v: int, k: int) -> Wheel | None:
     forbidden = 1 << v
     while left.bit_count() >= k:
         sb = left & -left
-        rim = _cycle_hitting(adj, sb.bit_length() - 1, left, k, forbidden)
+        rim = _cycle_hitting(adj, [sb.bit_length() - 1], left, k, forbidden)
         if rim is not None:
             return _wheel_at(g, v, rim)
         forbidden |= sb
@@ -312,7 +256,7 @@ class WMCertificate:
         live = (1 << g.n) - 1 & ~smask & ~(1 << self.x)
         seen = 0
         for t in self.targets:
-            comp = component_of(g.masks, live, t)
+            comp = reach(g.masks, 1 << t, live)
             if comp & seen:
                 raise CertificateError(f"target {t} shares a component with another target")
             seen |= comp
@@ -352,7 +296,7 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
         seen = 0
         ok = True
         for t in xs:
-            comp = component_of(g.masks, live, t)
+            comp = reach(g.masks, 1 << t, live)
             if comp & seen:
                 ok = False
                 break

@@ -1,5 +1,8 @@
 """CLI behavior: formats, exit codes, report shapes."""
 
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from wheelfree import Graph, complete, complete_bipartite, cycle, petersen, to_graph6
 from wheelfree.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
 from wheelfree.structure import STATEMENTS, VerifyResult, VerifyStatus
 
@@ -462,3 +465,129 @@ def test_reports_golden(capsys, tmp_path, monkeypatch):
     for argv, expected in _GOLDEN_REPORTS.items():
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (EXIT_OK, expected, ""), argv
+
+
+def test_directory_input_exit_usage(capsys, tmp_path):
+    code, out, err = run(capsys, "wheel", str(tmp_path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_usage(capsys, tmp_path):
+    f = tmp_path / "bad.g6"
+    f.write_bytes(b"\xff\xfe\x80C~\n")
+    code, out, err = run(capsys, "wheel", str(f))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, err = run(capsys, "verify", "thm-4.8", "--pool", f"file:{f}")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_theorem_violation_lands_in_bundle(capsys, tmp_path, monkeypatch):
+    """A TheoremViolationError raised inside a checker is a counterexample
+    of that statement, not a crash of the whole pool."""
+    from wheelfree import cycle, to_graph6
+    from wheelfree import structure
+    from wheelfree.errors import TheoremViolationError
+    from wheelfree.structure import verify_statement
+
+    def broken_color4(g):
+        raise TheoremViolationError("reduction stuck on purpose", graph=g)
+
+    monkeypatch.setattr(structure, "color4", broken_color4)
+    result = verify_statement(cycle(5), "cor-1.5")
+    assert result.status is VerifyStatus.COUNTEREXAMPLE
+    assert result.detail == "reduction stuck on purpose"
+    pool_file = tmp_path / "pool.g6"
+    pool_file.write_text(to_graph6(cycle(5)) + "\n" + to_graph6(cycle(6)) + "\n")
+    out_file = tmp_path / "bundle.txt"
+    code, out, _ = run(capsys, "verify", "cor-1.5", "--pool", f"file:{pool_file}",
+                       "--out", str(out_file))
+    assert code == EXIT_COUNTEREXAMPLE
+    assert "counterexamples=2" in out
+    text = out_file.read_text()
+    assert f"graph6: {to_graph6(cycle(5))}\n" in text
+    assert f"graph6: {to_graph6(cycle(6))}\n" in text
+    assert "reduction stuck on purpose" in text
+
+
+_K33E = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)] + [(0, 1)])
+_G6_LINES = [to_graph6(g) for g in (complete(4), cycle(5), complete_bipartite(3), petersen(), _K33E)]
+
+
+def _dimacs(n, edges):
+    return f"p edge {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _edge_list(n, edges):
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+_small_edges = st.lists(st.tuples(st.integers(-1, 9), st.integers(-1, 9)), max_size=8)
+# arbitrary bytes, plus truncated graph6 files and DIMACS / edge-list texts
+# with small vertex counts that parse often enough to reach the commands
+_input_bytes = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(st.lists(st.sampled_from(_G6_LINES), max_size=3), st.integers(0, 60)).map(
+        lambda t: "".join(line + "\n" for line in t[0]).encode()[:t[1]]),
+    st.builds(lambda f, n, e: f(n, e).encode(), st.sampled_from([_dimacs, _edge_list]),
+              st.integers(-1, 9), _small_edges),
+)
+_PER_GRAPH = (["color4", "--emit-trace"], ["wheel", "--k", "4"], ["kappa"], ["ends"],
+              ["wm-cert", "--x", "0", "--X", "1,2,3,4"])
+_FILTERS = ("dedup", "min-degree=2", "connectivity-at-least=2", "wheel-free=4",
+            "wheel-free=2", "min-degree=x")
+# n <= 5 and count <= 5 keep each pool small (exhaustive:n=8 alone is 2^28
+# graphs).  Random pools carry no filters: a filter that no G(n, p) draw can
+# pass makes the pool loop forever (recorded in CHANGES.md).
+_descriptors = st.one_of(
+    st.builds(lambda n, fs: ",".join([f"exhaustive:n={n}", *fs]),
+              st.integers(-1, 5), st.lists(st.sampled_from(_FILTERS), max_size=2)),
+    st.builds("random:n={},p={},seed={},count={}".format, st.integers(-1, 5),
+              st.sampled_from(["0", "0.3", "1", "1.5", "abc"]), st.integers(-1, 9),
+              st.integers(-1, 5)),
+    st.just("file:"),
+    st.text(max_size=20),
+)
+_fuzz_settings = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _check_contract(capsys, argv, bundle=None):
+    """Exit 0, 1 or 2 with no escaping exception; 1 only with a bundle written."""
+    if bundle is not None and bundle.exists():
+        bundle.unlink()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE), argv
+    assert "Traceback" not in err
+    if code == EXIT_COUNTEREXAMPLE:
+        assert bundle is not None and bundle.exists(), argv
+
+
+@_fuzz_settings
+@given(command=st.sampled_from(_PER_GRAPH), data=_input_bytes)
+def test_fuzz_per_graph_commands(capsys, tmp_path, command, data):
+    f = tmp_path / "input"
+    f.write_bytes(data)
+    _check_contract(capsys, [command[0], str(f), *command[1:]])
+
+
+@_fuzz_settings
+@given(statement=st.one_of(st.sampled_from(sorted(STATEMENTS)), st.text(max_size=8)),
+       descriptor=_descriptors, pool_bytes=_input_bytes, k=st.sampled_from(["-1", "2", "3", "5"]))
+def test_fuzz_pool_commands(capsys, tmp_path, statement, descriptor, pool_bytes, k):
+    pool_file = tmp_path / "pool.g6"
+    pool_file.write_bytes(pool_bytes)
+    if descriptor == "file:":
+        descriptor += str(pool_file)
+    bundle = tmp_path / "bundle.txt"
+    _check_contract(capsys, ["verify", statement, "--pool", descriptor, "--out", str(bundle)],
+                    bundle)
+    _check_contract(capsys, ["conjecture", "--k", k, "--pool", descriptor])

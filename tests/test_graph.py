@@ -1,5 +1,7 @@
 """Graph type, neighborhoods and induced subgraphs."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from wheelfree import (
     neighborhood,
     path,
 )
+from wheelfree.graph import reach, set_neighbors
 
 
 def test_basic_construction():
@@ -122,3 +125,78 @@ def test_induced_subgraph_preserves_adjacency(g, data):
     for i, u in enumerate(keep):
         for v in keep[i + 1:]:
             assert sub.has_edge(idmap[u], idmap[v]) == g.has_edge(u, v)
+
+
+def _set_adjacency(g):
+    adj = {v: set() for v in range(g.n)}
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _set_reach(adj, seeds, allowed):
+    """Seeds plus everything a breadth-first search through ``allowed`` finds."""
+    seen = set(seeds)
+    queue = list(seeds)
+    while queue:
+        u = queue.pop(0)
+        for w in adj[u]:
+            if w in allowed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _set_neighbors(adj, f):
+    out = set()
+    for v in f:
+        out |= adj[v]
+    return out - set(f)
+
+
+def _as_set(mask):
+    return {v for v in range(mask.bit_length()) if (mask >> v) & 1}
+
+
+def _as_mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def test_reach_and_set_neighbors_match_set_search_exhaustive():
+    """Every labeled graph with n <= 5: ``reach`` on every single seed with
+    the full vertex set plus seeded random seed/allowed masks, and
+    ``set_neighbors`` on every vertex subset."""
+    rng = random.Random(5)
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for code in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_code(n, code)
+            adj = _set_adjacency(g)
+            cases = [(1 << v, full) for v in range(n)]
+            cases += [(rng.randrange(1, full + 1), rng.randrange(full + 1)) for _ in range(6)]
+            for seeds, allowed in cases:
+                want = _set_reach(adj, _as_set(seeds), _as_set(allowed))
+                assert reach(g.masks, seeds, allowed) == _as_mask(want), (code, seeds, allowed)
+            for fmask in range(full + 1):
+                want = _set_neighbors(adj, _as_set(fmask))
+                assert set_neighbors(g.masks, fmask) == _as_mask(want), (code, fmask)
+
+
+@st.composite
+def graphs_with_masks(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    code = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
+    full = (1 << n) - 1
+    seeds = draw(st.integers(min_value=0, max_value=full))
+    allowed = draw(st.integers(min_value=0, max_value=full))
+    return Graph.from_edge_code(n, code), seeds, allowed
+
+
+@given(graphs_with_masks())
+def test_reach_and_set_neighbors_property(case):
+    g, seeds, allowed = case
+    adj = _set_adjacency(g)
+    want = _set_reach(adj, _as_set(seeds), _as_set(allowed))
+    assert reach(g.masks, seeds, allowed) == _as_mask(want)
+    assert set_neighbors(g.masks, seeds) == _as_mask(_set_neighbors(adj, _as_set(seeds)))
