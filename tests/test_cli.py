@@ -489,7 +489,6 @@ def test_non_utf8_input_exit_usage(capsys, tmp_path):
 def test_theorem_violation_lands_in_bundle(capsys, tmp_path, monkeypatch):
     """A TheoremViolationError raised inside a checker is a counterexample
     of that statement, not a crash of the whole pool."""
-    from wheelfree import cycle, to_graph6
     from wheelfree import structure
     from wheelfree.errors import TheoremViolationError
     from wheelfree.structure import verify_statement
