@@ -8,6 +8,7 @@ from wheelfree import (
     Graph,
     GraphError,
     NoFragmentsError,
+    circulant,
     complete,
     complete_bipartite,
     cycle,
@@ -16,6 +17,7 @@ from wheelfree import (
     extend_fan,
     find_k_fan,
     fragments,
+    icosahedron,
     is_fragment,
     path,
     petersen,
@@ -130,6 +132,186 @@ def test_fan_validation_catches_bad_paths():
     g = cycle(5)
     with pytest.raises(CertificateError):
         Fan(origin=0, targets=(2,), paths=((0, 2),)).validate(g)  # non-edge
+
+
+# -- pinned fan paths -----------------------------------------------------------
+#
+# From every origin x of four vertex-transitive graphs into its non-neighbours,
+# with k = min(connectivity, number of targets): the k-fan found directly, the
+# (k-1)-fan found directly and extended to k, and a one-path fan built by a
+# depth-first search (so usually not a shortest path) extended to k.
+
+
+def _dfs_path(g: Graph, x: int, y: int, avoid: set[int]):
+    """First x-y path by ascending depth-first search outside ``avoid``, or None."""
+    path, seen = [x], {x}
+
+    def go(v: int) -> bool:
+        for w in g.neighbors(v):
+            if w == y:
+                path.append(w)
+                return True
+            if w not in seen and w not in avoid:
+                seen.add(w)
+                path.append(w)
+                if go(w):
+                    return True
+                path.pop()
+        return False
+
+    return tuple(path) if go(x) else None
+
+
+def _fan_text(fan: Fan) -> str:
+    return " | ".join(" ".join(map(str, p)) for p in fan.paths)
+
+
+def _pinned_fan_lines(name: str, g: Graph):
+    kappa = vertex_connectivity(g)
+    for x in range(g.n):
+        targets = tuple(y for y in range(g.n) if y != x and not g.has_edge(x, y))
+        k = min(kappa, len(targets))
+        sub = find_k_fan(g, x, targets, k - 1)
+        long = next(p for y in reversed(targets) if (p := _dfs_path(g, x, y, set(targets))))
+        long = Fan(x, targets, (long,))
+        yield f"{name} {x} find {_fan_text(find_k_fan(g, x, targets, k))}"
+        yield f"{name} {x} extend {_fan_text(sub)} -> {_fan_text(extend_fan(g, sub, k))}"
+        yield f"{name} {x} extend {_fan_text(long)} -> {_fan_text(extend_fan(g, long, k))}"
+
+
+_FAN_GOLDEN = (
+    "petersen 0 find 0 1 2 | 0 4 3 | 0 5 7\n"
+    "petersen 0 extend 0 1 2 | 0 4 3 -> 0 1 2 | 0 4 3 | 0 5 7\n"
+    "petersen 0 extend 0 4 9 -> 0 1 2 | 0 4 9 | 0 5 7\n"
+    "petersen 1 find 1 0 4 | 1 2 3 | 1 6 8\n"
+    "petersen 1 extend 1 0 4 | 1 2 3 -> 1 0 4 | 1 2 3 | 1 6 8\n"
+    "petersen 1 extend 1 6 9 -> 1 0 4 | 1 2 3 | 1 6 9\n"
+    "petersen 2 find 2 1 0 | 2 3 4 | 2 7 5\n"
+    "petersen 2 extend 2 1 0 | 2 3 4 -> 2 1 0 | 2 3 4 | 2 7 5\n"
+    "petersen 2 extend 2 7 9 -> 2 1 0 | 2 3 4 | 2 7 9\n"
+    "petersen 3 find 3 2 1 | 3 4 0 | 3 8 5\n"
+    "petersen 3 extend 3 2 1 | 3 4 0 -> 3 2 1 | 3 4 0 | 3 8 5\n"
+    "petersen 3 extend 3 4 9 -> 3 2 1 | 3 4 9 | 3 8 5\n"
+    "petersen 4 find 4 0 1 | 4 3 2 | 4 9 6\n"
+    "petersen 4 extend 4 0 1 | 4 3 2 -> 4 0 1 | 4 3 2 | 4 9 6\n"
+    "petersen 4 extend 4 3 8 -> 4 0 1 | 4 3 8 | 4 9 6\n"
+    "petersen 5 find 5 0 1 | 5 7 2 | 5 8 3\n"
+    "petersen 5 extend 5 0 1 | 5 7 2 -> 5 0 1 | 5 7 2 | 5 8 3\n"
+    "petersen 5 extend 5 7 9 -> 5 0 1 | 5 7 9 | 5 8 3\n"
+    "petersen 6 find 6 1 0 | 6 8 3 | 6 9 4\n"
+    "petersen 6 extend 6 1 0 | 6 8 3 -> 6 1 0 | 6 8 3 | 6 9 4\n"
+    "petersen 6 extend 6 9 7 -> 6 1 0 | 6 8 3 | 6 9 7\n"
+    "petersen 7 find 7 2 1 | 7 5 0 | 7 9 4\n"
+    "petersen 7 extend 7 2 1 | 7 5 0 -> 7 2 1 | 7 5 0 | 7 9 4\n"
+    "petersen 7 extend 7 5 8 -> 7 2 1 | 7 5 8 | 7 9 4\n"
+    "petersen 8 find 8 3 2 | 8 5 0 | 8 6 1\n"
+    "petersen 8 extend 8 3 2 | 8 5 0 -> 8 3 2 | 8 5 0 | 8 6 1\n"
+    "petersen 8 extend 8 6 9 -> 8 3 2 | 8 5 0 | 8 6 9\n"
+    "petersen 9 find 9 4 0 | 9 6 1 | 9 7 2\n"
+    "petersen 9 extend 9 4 0 | 9 6 1 -> 9 4 0 | 9 6 1 | 9 7 2\n"
+    "petersen 9 extend 9 6 8 -> 9 4 0 | 9 6 8 | 9 7 2\n"
+    "k44 0 find 0 4 1 | 0 5 2 | 0 6 3\n"
+    "k44 0 extend 0 4 1 | 0 5 2 -> 0 4 1 | 0 5 2 | 0 6 3\n"
+    "k44 0 extend 0 4 3 -> 0 4 3 | 0 5 1 | 0 6 2\n"
+    "k44 1 find 1 4 0 | 1 5 2 | 1 6 3\n"
+    "k44 1 extend 1 4 0 | 1 5 2 -> 1 4 0 | 1 5 2 | 1 6 3\n"
+    "k44 1 extend 1 4 3 -> 1 4 3 | 1 5 0 | 1 6 2\n"
+    "k44 2 find 2 4 0 | 2 5 1 | 2 6 3\n"
+    "k44 2 extend 2 4 0 | 2 5 1 -> 2 4 0 | 2 5 1 | 2 6 3\n"
+    "k44 2 extend 2 4 3 -> 2 4 3 | 2 5 0 | 2 6 1\n"
+    "k44 3 find 3 4 0 | 3 5 1 | 3 6 2\n"
+    "k44 3 extend 3 4 0 | 3 5 1 -> 3 4 0 | 3 5 1 | 3 6 2\n"
+    "k44 3 extend 3 4 2 -> 3 4 2 | 3 5 0 | 3 6 1\n"
+    "k44 4 find 4 0 5 | 4 1 6 | 4 2 7\n"
+    "k44 4 extend 4 0 5 | 4 1 6 -> 4 0 5 | 4 1 6 | 4 2 7\n"
+    "k44 4 extend 4 0 7 -> 4 0 7 | 4 1 5 | 4 2 6\n"
+    "k44 5 find 5 0 4 | 5 1 6 | 5 2 7\n"
+    "k44 5 extend 5 0 4 | 5 1 6 -> 5 0 4 | 5 1 6 | 5 2 7\n"
+    "k44 5 extend 5 0 7 -> 5 0 7 | 5 1 4 | 5 2 6\n"
+    "k44 6 find 6 0 4 | 6 1 5 | 6 2 7\n"
+    "k44 6 extend 6 0 4 | 6 1 5 -> 6 0 4 | 6 1 5 | 6 2 7\n"
+    "k44 6 extend 6 0 7 -> 6 0 7 | 6 1 4 | 6 2 5\n"
+    "k44 7 find 7 0 4 | 7 1 5 | 7 2 6\n"
+    "k44 7 extend 7 0 4 | 7 1 5 -> 7 0 4 | 7 1 5 | 7 2 6\n"
+    "k44 7 extend 7 0 6 -> 7 0 6 | 7 1 4 | 7 2 5\n"
+    "c10_12 0 find 0 1 3 | 0 2 4 | 0 8 6 | 0 9 7\n"
+    "c10_12 0 extend 0 1 3 | 0 2 4 | 0 8 6 -> 0 1 3 | 0 2 4 | 0 8 6 | 0 9 7\n"
+    "c10_12 0 extend 0 1 9 7 -> 0 1 3 | 0 2 4 | 0 8 6 | 0 9 7\n"
+    "c10_12 1 find 1 0 8 | 1 2 4 | 1 3 5 | 1 9 7\n"
+    "c10_12 1 extend 1 0 8 | 1 2 4 | 1 3 5 -> 1 0 8 | 1 2 4 | 1 3 5 | 1 9 7\n"
+    "c10_12 1 extend 1 0 8 -> 1 0 8 | 1 2 4 | 1 3 5 | 1 9 7\n"
+    "c10_12 2 find 2 0 8 | 2 1 9 | 2 3 5 | 2 4 6\n"
+    "c10_12 2 extend 2 0 8 | 2 1 9 | 2 3 5 -> 2 0 8 | 2 1 9 | 2 3 5 | 2 4 6\n"
+    "c10_12 2 extend 2 0 1 9 -> 2 0 8 | 2 1 9 | 2 3 5 | 2 4 6\n"
+    "c10_12 3 find 3 1 9 | 3 2 0 | 3 4 6 | 3 5 7\n"
+    "c10_12 3 extend 3 1 0 | 3 4 6 | 3 5 7 -> 3 1 9 | 3 2 0 | 3 4 6 | 3 5 7\n"
+    "c10_12 3 extend 3 1 9 -> 3 1 9 | 3 2 0 | 3 4 6 | 3 5 7\n"
+    "c10_12 4 find 4 2 0 | 4 3 1 | 4 5 7 | 4 6 8\n"
+    "c10_12 4 extend 4 2 0 | 4 3 1 | 4 5 7 -> 4 2 0 | 4 3 1 | 4 5 7 | 4 6 8\n"
+    "c10_12 4 extend 4 2 3 5 6 8 -> 4 2 0 | 4 3 1 | 4 5 7 | 4 6 8\n"
+    "c10_12 5 find 5 3 1 | 5 4 2 | 5 6 8 | 5 7 9\n"
+    "c10_12 5 extend 5 3 1 | 5 4 2 | 5 6 8 -> 5 3 1 | 5 4 2 | 5 6 8 | 5 7 9\n"
+    "c10_12 5 extend 5 3 4 6 7 9 -> 5 3 1 | 5 4 2 | 5 6 8 | 5 7 9\n"
+    "c10_12 6 find 6 4 2 | 6 5 3 | 6 7 9 | 6 8 0\n"
+    "c10_12 6 extend 6 4 2 | 6 5 3 | 6 7 9 -> 6 4 2 | 6 5 3 | 6 7 9 | 6 8 0\n"
+    "c10_12 6 extend 6 4 5 7 8 9 -> 6 4 2 | 6 5 3 | 6 7 9 | 6 8 0\n"
+    "c10_12 7 find 7 5 3 | 7 6 4 | 7 8 0 | 7 9 1\n"
+    "c10_12 7 extend 7 5 3 | 7 6 4 | 7 8 0 -> 7 5 3 | 7 6 4 | 7 8 0 | 7 9 1\n"
+    "c10_12 7 extend 7 5 4 -> 7 5 3 | 7 6 4 | 7 8 0 | 7 9 1\n"
+    "c10_12 8 find 8 0 2 | 8 6 4 | 8 7 5 | 8 9 1\n"
+    "c10_12 8 extend 8 0 1 | 8 6 4 | 8 7 5 -> 8 0 2 | 8 6 4 | 8 7 5 | 8 9 1\n"
+    "c10_12 8 extend 8 0 9 7 5 -> 8 0 2 | 8 6 4 | 8 7 5 | 8 9 1\n"
+    "c10_12 9 find 9 0 2 | 9 1 3 | 9 7 5 | 9 8 6\n"
+    "c10_12 9 extend 9 0 2 | 9 1 3 | 9 7 5 -> 9 0 2 | 9 1 3 | 9 7 5 | 9 8 6\n"
+    "c10_12 9 extend 9 0 8 6 -> 9 0 2 | 9 1 3 | 9 7 5 | 9 8 6\n"
+    "icosahedron 0 find 0 1 6 | 0 2 7 | 0 3 8 | 0 4 9 | 0 5 10\n"
+    "icosahedron 0 extend 0 1 6 | 0 2 7 | 0 3 8 | 0 4 9 -> 0 1 6 | 0 2 7 | 0 3 8 | 0 4 9 | 0 5 10\n"
+    "icosahedron 0 extend 0 1 2 3 4 5 10 -> 0 1 6 | 0 2 7 | 0 3 8 | 0 4 9 | 0 5 10\n"
+    "icosahedron 1 find 1 0 3 | 1 2 8 | 1 5 4 | 1 6 10 | 1 7 11\n"
+    "icosahedron 1 extend 1 0 3 | 1 2 8 | 1 5 4 | 1 6 10 -> 1 0 3 | 1 2 8 | 1 5 4 | 1 6 10 | 1 7 11\n"
+    "icosahedron 1 extend 1 0 2 7 6 11 -> 1 0 4 | 1 2 3 | 1 5 10 | 1 6 11 | 1 7 8\n"
+    "icosahedron 2 find 2 0 4 | 2 1 5 | 2 3 9 | 2 7 6 | 2 8 11\n"
+    "icosahedron 2 extend 2 0 4 | 2 1 5 | 2 3 9 | 2 7 6 -> 2 0 4 | 2 1 5 | 2 3 9 | 2 7 6 | 2 8 11\n"
+    "icosahedron 2 extend 2 0 1 7 8 11 -> 2 0 4 | 2 1 5 | 2 3 9 | 2 7 6 | 2 8 11\n"
+    "icosahedron 3 find 3 0 1 | 3 2 7 | 3 4 5 | 3 8 11 | 3 9 10\n"
+    "icosahedron 3 extend 3 0 1 | 3 2 7 | 3 4 5 | 3 8 11 -> 3 0 1 | 3 2 7 | 3 4 5 | 3 8 11 | 3 9 10\n"
+    "icosahedron 3 extend 3 0 2 8 9 11 -> 3 0 1 | 3 2 7 | 3 4 5 | 3 8 11 | 3 9 10\n"
+    "icosahedron 4 find 4 0 1 | 4 3 2 | 4 5 6 | 4 9 8 | 4 10 11\n"
+    "icosahedron 4 extend 4 0 1 | 4 3 2 | 4 5 6 | 4 9 8 -> 4 0 1 | 4 3 2 | 4 5 6 | 4 9 8 | 4 10 11\n"
+    "icosahedron 4 extend 4 0 3 9 10 11 -> 4 0 1 | 4 3 2 | 4 5 6 | 4 9 8 | 4 10 11\n"
+    "icosahedron 5 find 5 0 2 | 5 1 7 | 5 4 3 | 5 6 11 | 5 10 9\n"
+    "icosahedron 5 extend 5 0 2 | 5 1 7 | 5 4 3 | 5 6 11 -> 5 0 2 | 5 1 7 | 5 4 3 | 5 6 11 | 5 10 9\n"
+    "icosahedron 5 extend 5 0 1 6 10 11 -> 5 0 2 | 5 1 7 | 5 4 3 | 5 6 11 | 5 10 9\n"
+    "icosahedron 6 find 6 1 0 | 6 5 4 | 6 7 2 | 6 10 9 | 6 11 8\n"
+    "icosahedron 6 extend 6 1 0 | 6 5 4 | 6 7 2 | 6 10 9 -> 6 1 0 | 6 5 4 | 6 7 2 | 6 10 9 | 6 11 8\n"
+    "icosahedron 6 extend 6 1 5 10 9 -> 6 1 0 | 6 5 4 | 6 7 2 | 6 10 9 | 6 11 8\n"
+    "icosahedron 7 find 7 1 0 | 7 2 3 | 7 6 5 | 7 8 9 | 7 11 10\n"
+    "icosahedron 7 extend 7 1 0 | 7 2 3 | 7 6 5 | 7 8 9 -> 7 1 0 | 7 2 3 | 7 6 5 | 7 8 9 | 7 11 10\n"
+    "icosahedron 7 extend 7 1 2 8 11 6 10 -> 7 1 5 | 7 2 0 | 7 6 10 | 7 8 3 | 7 11 9\n"
+    "icosahedron 8 find 8 2 0 | 8 3 4 | 8 7 1 | 8 9 10 | 8 11 6\n"
+    "icosahedron 8 extend 8 2 0 | 8 3 4 | 8 7 1 | 8 9 10 -> 8 2 0 | 8 3 4 | 8 7 1 | 8 9 10 | 8 11 6\n"
+    "icosahedron 8 extend 8 2 3 9 10 -> 8 2 0 | 8 3 4 | 8 7 1 | 8 9 10 | 8 11 6\n"
+    "icosahedron 9 find 9 3 0 | 9 4 5 | 9 8 2 | 9 10 6 | 9 11 7\n"
+    "icosahedron 9 extend 9 3 0 | 9 4 5 | 9 8 2 | 9 10 6 -> 9 3 0 | 9 4 5 | 9 8 2 | 9 10 6 | 9 11 7\n"
+    "icosahedron 9 extend 9 3 4 10 11 7 -> 9 3 0 | 9 4 5 | 9 8 2 | 9 10 6 | 9 11 7\n"
+    "icosahedron 10 find 10 4 0 | 10 5 1 | 10 6 7 | 10 9 3 | 10 11 8\n"
+    "icosahedron 10 extend 10 4 0 | 10 5 1 | 10 6 7 | 10 9 3 -> 10 4 0 | 10 5 1 | 10 6 7 | 10 9 3 | 10 11 8\n"
+    "icosahedron 10 extend 10 4 5 6 11 8 -> 10 4 0 | 10 5 1 | 10 6 7 | 10 9 3 | 10 11 8\n"
+    "icosahedron 11 find 11 6 1 | 11 7 2 | 11 8 3 | 11 9 4 | 11 10 5\n"
+    "icosahedron 11 extend 11 6 1 | 11 7 2 | 11 8 3 | 11 9 4 -> 11 6 1 | 11 7 2 | 11 8 3 | 11 9 4 | 11 10 5\n"
+    "icosahedron 11 extend 11 6 5 -> 11 6 5 | 11 7 1 | 11 8 2 | 11 9 3 | 11 10 4\n"
+)
+
+
+def test_fan_paths_golden():
+    graphs = {
+        "petersen": petersen(),
+        "k44": complete_bipartite(4),
+        "c10_12": circulant(10, (1, 2)),
+        "icosahedron": icosahedron(),
+    }
+    lines = [line for name, g in graphs.items() for line in _pinned_fan_lines(name, g)]
+    assert "".join(line + "\n" for line in lines) == _FAN_GOLDEN
 
 
 # -- fragments and ends --------------------------------------------------------
