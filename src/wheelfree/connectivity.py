@@ -1,10 +1,11 @@
 """Vertex connectivity, fans of internally disjoint paths, and the
 fragment / end / end-block decomposition.
 
-Connectivity is computed exactly with unit-capacity vertex-split max
-flow over non-adjacent vertex pairs; fragments and ends are enumerated
-straight from their definitions over all vertex subsets, guarded by a
-size budget.
+Connectivity and fans share one unit-capacity vertex-split max flow,
+``_fan_flow``: the connectivity between non-adjacent s and t is the
+largest fan from s into N(t).  Fragments and ends are enumerated straight
+from their definitions over all vertex subsets, for graphs with at most
+``FRAGMENT_BUDGET`` vertices.
 """
 
 from __future__ import annotations
@@ -20,12 +21,19 @@ from .errors import (
 )
 from .graph import Graph, VertexSet, bits, induced_subgraph, reach, set_neighbors
 
+# Largest vertex count whose 2^n subset scan fragments, ends and end blocks
+# will run; larger graphs raise BudgetExceededError.
+FRAGMENT_BUDGET = 20
+
 
 # -------------------------------------------------------------------------
 # unit-capacity vertex-split flow
 #
-# Node layout: v_in = v, v_out = v + n; source is x_out, sinks vary.
-# The residual graph is a list of int masks (bit j of res[i] = arc i->j).
+# Node layout: v_in = v, v_out = v + n; the source is x_out and the sink
+# is node 2n, fed by the in-nodes of the targets.  The residual graph is a
+# list of int masks (bit j of res[i] = arc i->j).  One routine, _fan_flow,
+# serves connectivity, find_k_fan and extend_fan (Even & Tarjan, "Network
+# flow and testing graph connectivity", SIAM J. Comput. 1975).
 # -------------------------------------------------------------------------
 
 
@@ -57,37 +65,75 @@ def _augment(res: list[int], src: int, snk: int, parent: list[int]) -> bool:
     return False
 
 
-def _pair_flow_residual(adj: tuple[int, ...], n: int, s: int, t: int) -> list[int]:
-    res = [0] * (2 * n)
-    for v in range(n):
-        if v != s and v != t:
-            res[v] = 1 << (v + n)
-    for u in range(n):
-        res[u + n] |= adj[u]
+def _fan_residual(adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[int]:
+    """Residual network for fans: sink node is 2n, target in-nodes feed it."""
+    sink_bit = 1 << (2 * n)
+    res = [sink_bit if (ymask >> v) & 1 else 1 << (v + n) for v in range(n)]
+    res[x] = 0  # paths never pass back through the origin
+    res.extend(adj)
+    res.append(0)
     return res
 
 
-def _st_connectivity(adj: tuple[int, ...], n: int, s: int, t: int, stop_at: int) -> int:
-    """Internally disjoint s-t paths for non-adjacent s,t, capped at stop_at."""
-    res = _pair_flow_residual(adj, n, s, t)
-    src, snk = s + n, t
-    flow = 0
-    common = adj[s] & adj[t]
-    while common and flow < stop_at:
-        b = common & -common
-        common ^= b
-        w = b.bit_length() - 1
-        res[src] &= ~(1 << w)
-        res[w] &= ~(1 << (w + n))
-        res[w] |= 1 << src
-        res[w + n] &= ~(1 << snk)
-        res[w + n] |= 1 << w
-        res[snk] |= 1 << (w + n)
+def _fan_flow(
+    adj: tuple[int, ...], n: int, x: int, ymask: int, k: int,
+    seed: tuple[tuple[int, ...], ...] | None = None,
+) -> tuple[int, list[int]]:
+    """Disjoint paths from x into ``ymask``, capped at k, and the residual.
+
+    The flow starts from the fan paths ``seed``, or by default from the
+    direct edges x-y to the k lowest such y, and then grows one shortest
+    augmenting path at a time.
+    """
+    res = _fan_residual(adj, n, x, ymask)
+    src, sink = x + n, 2 * n
+    if seed is None:
+        direct = adj[x] & ymask
+        while direct.bit_count() > k:
+            direct ^= 1 << (direct.bit_length() - 1)
+        # push one unit along each x_out -> y -> sink; a target in-node's
+        # only arc is to the sink, so its residual is the arc back to x_out
+        res[src] &= ~direct
+        res[sink] = direct
+        for y in bits(direct):
+            res[y] = 1 << src
+        flow = direct.bit_count()
+    else:
+        for p in seed:
+            nodes = [src]
+            for v in p[1:-1]:
+                nodes.extend((v, v + n))
+            nodes.extend((p[-1], sink))
+            for a, b in zip(nodes, nodes[1:]):
+                res[a] &= ~(1 << b)
+                res[b] |= 1 << a
+        flow = len(seed)
+    parent = [0] * (2 * n + 1)
+    while flow < k and _augment(res, src, sink, parent):
         flow += 1
-    parent = [0] * (2 * n)
-    while flow < stop_at and _augment(res, src, snk, parent):
-        flow += 1
-    return flow
+    return flow, res
+
+
+def _extract_fan_paths(res: list[int], adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[tuple[int, ...]]:
+    """Decompose the flow recorded in ``res`` into origin-to-target paths."""
+    fresh = _fan_residual(adj, n, x, ymask)
+    src, sink = x + n, 2 * n
+    paths = []
+    used = fresh[src] & ~res[src]
+    for b in sorted(bits(used)):
+        node = b
+        path = [x]
+        while node != sink:
+            path.append(node)  # node is always an in-node id == vertex id
+            out = fresh[node] & ~res[node]
+            nxt = (out & -out).bit_length() - 1
+            if nxt == sink:
+                break
+            # in-node -> out-node, then follow the out-node's flow arc
+            out2 = fresh[nxt] & ~res[nxt]
+            node = (out2 & -out2).bit_length() - 1
+        paths.append(tuple(path))
+    return sorted(paths)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -124,7 +170,9 @@ def vertex_connectivity(g: Graph) -> int:
             break
         if (adj[s] & adj[t]).bit_count() >= best:
             continue
-        f = _st_connectivity(adj, n, s, t, best)
+        # an s-t path ends at its first vertex of N(t): kappa(s,t) is the
+        # largest fan from s into N(t), and t itself is never reached
+        f, _ = _fan_flow(adj, n, s, adj[t], best)
         if f < best:
             best = f
     return best
@@ -185,49 +233,6 @@ class Fan:
             raise CertificateError("paths do not reach pairwise distinct targets")
 
 
-def _fan_residual(adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[int]:
-    """Residual network for fans: sink node is 2n, target in-nodes feed it."""
-    res = [0] * (2 * n + 1)
-    sink_bit = 1 << (2 * n)
-    for v in range(n):
-        vb = 1 << v
-        if ymask & vb:
-            res[v] = sink_bit
-        elif v != x:
-            res[v] = 1 << (v + n)
-    for u in range(n):
-        res[u + n] |= adj[u]
-    return res
-
-
-def _apply_path(res: list[int], nodes: list[int]) -> None:
-    for a, b in zip(nodes, nodes[1:]):
-        res[a] &= ~(1 << b)
-        res[b] |= 1 << a
-
-
-def _extract_fan_paths(res: list[int], adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[tuple[int, ...]]:
-    """Decompose the flow recorded in ``res`` into origin-to-target paths."""
-    fresh = _fan_residual(adj, n, x, ymask)
-    src, sink = x + n, 2 * n
-    paths = []
-    used = fresh[src] & ~res[src]
-    for b in sorted(bits(used)):
-        node = b
-        path = [x]
-        while node != sink:
-            path.append(node)  # node is always an in-node id == vertex id
-            out = fresh[node] & ~res[node]
-            nxt = (out & -out).bit_length() - 1
-            if nxt == sink:
-                break
-            # in-node -> out-node, then follow the out-node's flow arc
-            out2 = fresh[nxt] & ~res[nxt]
-            node = (out2 & -out2).bit_length() - 1
-        paths.append(tuple(path))
-    return sorted(paths)
-
-
 def find_k_fan(g: Graph, x: int, targets: VertexSet, k: int) -> Fan | None:
     """An exact k-fan from x into ``targets``, or None when none exists.
 
@@ -245,19 +250,7 @@ def find_k_fan(g: Graph, x: int, targets: VertexSet, k: int) -> Fan | None:
     if ymask.bit_count() < k:
         raise GraphError(f"need at least {k} targets, got {ymask.bit_count()}")
     adj = g.masks
-    res = _fan_residual(adj, n, x, ymask)
-    src, sink = x + n, 2 * n
-    flow = 0
-    direct = adj[x] & ymask
-    while direct and flow < k:
-        b = direct & -direct
-        direct ^= b
-        y = b.bit_length() - 1
-        _apply_path(res, [src, y, sink])
-        flow += 1
-    parent = [0] * (2 * n + 1)
-    while flow < k and _augment(res, src, sink, parent):
-        flow += 1
+    flow, res = _fan_flow(adj, n, x, ymask, k)
     if flow < k:
         return None
     paths = _extract_fan_paths(res, adj, n, x, ymask)
@@ -284,18 +277,7 @@ def extend_fan(g: Graph, fan: Fan, k: int) -> Fan:
     n = g.n
     adj = g.masks
     ymask = g.vertex_mask(fan.targets)
-    res = _fan_residual(adj, n, fan.origin, ymask)
-    src, sink = fan.origin + n, 2 * n
-    for p in fan.paths:
-        nodes = [src]
-        for v in p[1:-1]:
-            nodes.extend((v, v + n))
-        nodes.extend((p[-1], sink))
-        _apply_path(res, nodes)
-    flow = fan.k
-    parent = [0] * (2 * n + 1)
-    while flow < k and _augment(res, src, sink, parent):
-        flow += 1
+    flow, res = _fan_flow(adj, n, fan.origin, ymask, k, fan.paths)
     if flow < k:
         raise TheoremViolationError(
             f"could not extend a {fan.k}-fan to a {k}-fan in a {k}-connected graph",
@@ -340,28 +322,28 @@ def is_fragment(g: Graph, f: VertexSet) -> bool:
     return nb.bit_count() == kappa and fbar != 0
 
 
-def _fragment_scan(g: Graph, budget: int, what: str) -> list[int]:
+def _fragment_scan(g: Graph, what: str) -> list[int]:
     """Masks of all fragments, after the budget and no-fragments guards."""
-    if g.n > budget:
-        raise BudgetExceededError(f"{what} enumeration budget is n <= {budget}, got {g.n}")
+    if g.n > FRAGMENT_BUDGET:
+        raise BudgetExceededError(f"{what} enumeration budget is n <= {FRAGMENT_BUDGET}, got {g.n}")
     if g.n <= 1 or g.is_complete():
         raise NoFragmentsError("complete graphs and the single vertex have no fragments")
     return _fragment_masks(g.masks, g.n, vertex_connectivity(g))
 
 
-def fragments(g: Graph, budget: int = 20) -> list[tuple[int, ...]]:
+def fragments(g: Graph) -> list[tuple[int, ...]]:
     """All fragments, sorted lexicographically.
 
     Raises NoFragmentsError for complete graphs and the single vertex
     (which have none), and BudgetExceededError instead of guessing when
     the subset enumeration would be too large.
     """
-    return sorted(tuple(bits(m)) for m in _fragment_scan(g, budget, "fragment"))
+    return sorted(tuple(bits(m)) for m in _fragment_scan(g, "fragment"))
 
 
-def ends(g: Graph, budget: int = 20) -> list[tuple[int, ...]]:
+def ends(g: Graph) -> list[tuple[int, ...]]:
     """All ends (inclusion-minimal fragments), sorted lexicographically."""
-    masks = _fragment_scan(g, budget, "end")
+    masks = _fragment_scan(g, "end")
     minimal = [f for f in masks if not any(h != f and h & ~f == 0 for h in masks)]
     return sorted(tuple(bits(m)) for m in minimal)
 
@@ -403,7 +385,7 @@ class EndBlock:
                     raise CertificateError("block graph misses an original edge")
 
 
-def end_block(g: Graph, f: VertexSet, verify: bool = False, budget: int = 20) -> EndBlock:
+def end_block(g: Graph, f: VertexSet, verify: bool = False) -> EndBlock:
     """Build the end block of the end ``f``.
 
     With ``verify=True`` and a non-trivial end, also asserts that the
@@ -412,7 +394,7 @@ def end_block(g: Graph, f: VertexSet, verify: bool = False, budget: int = 20) ->
     """
     fmask = g.vertex_mask(f)
     fverts = tuple(bits(fmask))
-    if fverts not in ends(g, budget=budget):
+    if fverts not in ends(g):
         raise GraphError(f"{fverts} is not an end of the graph")
     nb = set_neighbors(g.masks, fmask)
     attachment = tuple(bits(nb))

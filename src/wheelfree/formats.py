@@ -70,10 +70,7 @@ def parse_graph6(data) -> Graph:
             elif bit:
                 raise ParseError("nonzero padding bits in graph6 body", offset=base + 1 + bi)
             k += 1
-    g = object.__new__(Graph)
-    g.n = n
-    g._adj = tuple(adj)
-    return g
+    return Graph._of(n, adj)
 
 
 def to_graph6(g: Graph, header: bool = False) -> str:

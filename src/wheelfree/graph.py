@@ -52,13 +52,19 @@ class Graph:
         self._adj = tuple(adj)
 
     @classmethod
+    def _of(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """Wrap adjacency masks the caller has already made valid: no checks."""
+        g = object.__new__(cls)
+        g.n = n
+        g._adj = tuple(adj)
+        return g
+
+    @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Graph":
         """Build from per-vertex adjacency masks (validated for symmetry)."""
         masks = tuple(masks)
         n = len(masks)
-        g = object.__new__(cls)
-        g.n = n
-        g._adj = masks
+        g = cls._of(n, masks)
         full = (1 << n) - 1
         for v, m in enumerate(masks):
             if m & ~full:
@@ -85,10 +91,7 @@ class Graph:
                 k += 1
         if code >> k:
             raise GraphError(f"edge code has bits beyond pair count {k}")
-        g = object.__new__(cls)
-        g.n = n
-        g._adj = tuple(adj)
-        return g
+        return cls._of(n, adj)
 
     def edge_code(self) -> int:
         code = 0
@@ -218,10 +221,7 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
         for w in bits(row):
             new_row |= 1 << idmap[w]
         adj.append(new_row)
-    h = object.__new__(Graph)
-    h.n = len(old_ids)
-    h._adj = tuple(adj)
-    return h, idmap
+    return Graph._of(len(old_ids), adj), idmap
 
 
 def neighborhood(g: Graph, f: VertexSet) -> tuple[int, ...]:

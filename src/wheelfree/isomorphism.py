@@ -1,11 +1,11 @@
 """Exact isomorphism testing and canonical forms.
 
-Both routines refine vertices by iterated neighbor-degree signatures.
-``is_isomorphic`` then backtracks over class-respecting maps.
-``canonical_code`` runs a branch-and-bound over class-respecting vertex
+``canonical_code`` refines vertices by iterated neighbor-degree
+signatures, then runs a branch-and-bound over class-respecting vertex
 orders that keeps the smallest adjacency row at each position, cuts
 branches that exceed the best leaf and prunes siblings by the
-automorphisms it discovers.
+automorphisms it discovers.  ``is_isomorphic`` compares canonical codes,
+so the one search serves both.
 """
 
 from __future__ import annotations
@@ -187,47 +187,5 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Exact isomorphism test via refinement plus backtracking."""
-    if g.n != h.n or g.m != h.m:
-        return False
-    cg, ch = _refine(g), _refine(h)
-    if sorted(cg) != sorted(ch):
-        return False
-    classes_g = _classes(cg)
-    classes_h = _classes(ch)
-    if [len(c) for c in classes_g] != [len(c) for c in classes_h]:
-        return False
-    # order g's vertices class by class and map into h's matching classes
-    order = [v for cls in classes_g for v in cls]
-    candidates = {}
-    for cls_g, cls_h in zip(classes_g, classes_h):
-        for v in cls_g:
-            candidates[v] = cls_h
-
-    n = g.n
-    mapping = [-1] * n
-    used = [False] * n
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if ((g.masks[v] >> u) & 1) != ((h.masks[w] >> mapping[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return rec(0)
+    """Exact isomorphism test: equal order, size and canonical code."""
+    return g.n == h.n and g.m == h.m and canonical_code(g) == canonical_code(h)

@@ -317,10 +317,7 @@ def _nonisomorphic_graphs(n: int) -> list[Graph]:
                 masks = [row | newbit if (nbr >> v) & 1 else row
                          for v, row in enumerate(base.masks)]
                 masks.append(nbr)
-                g = object.__new__(Graph)
-                g.n = n
-                g._adj = tuple(masks)
-                canon = canonical_code(g)
+                canon = canonical_code(Graph._of(n, masks))
                 if canon not in seen:
                     seen.add(canon)
                     reps.append(Graph.from_edge_code(n, canon))
@@ -329,12 +326,18 @@ def _nonisomorphic_graphs(n: int) -> list[Graph]:
     return reps
 
 
+# A filtered random pool gives up after this many rejected draws in a row,
+# so a filter that no draw can pass ends in a GraphError, not a hang.
+MAX_REJECTED_DRAWS = 10_000
+
+
 def random_pool(n: int, p: float, seed: int, count: int, *,
                 min_degree: int | None = None, connectivity_at_least: int | None = None,
                 wheel_free: int | None = None) -> GraphPool:
     """``count`` random G(n, p) graphs satisfying the filters, reproducible
     from the seed (splitmix64 edge draws; rejected graphs consume draws,
-    so the accepted stream is still deterministic)."""
+    so the accepted stream is still deterministic).  Iteration raises
+    GraphError after MAX_REJECTED_DRAWS rejected draws in a row."""
     if not 0.0 <= p <= 1.0:
         raise GraphError("edge probability must be in [0, 1]")
     if n < 1 or count < 0:
@@ -345,6 +348,7 @@ def random_pool(n: int, p: float, seed: int, count: int, *,
     def factory() -> Iterator[Graph]:
         rng = SplitMix64(seed)
         emitted = 0
+        rejected = 0
         npairs = n * (n - 1) // 2
         while emitted < count:
             code = 0
@@ -354,7 +358,15 @@ def random_pool(n: int, p: float, seed: int, count: int, *,
             g = Graph.from_edge_code(n, code)
             if accept(g):
                 emitted += 1
+                rejected = 0
                 yield g
+            else:
+                rejected += 1
+                if rejected == MAX_REJECTED_DRAWS:
+                    raise GraphError(
+                        f"random pool n={n},p={p},seed={seed}: {MAX_REJECTED_DRAWS} draws in a row "
+                        f"failed the filters {suffix[1:]}"
+                    )
 
     return GraphPool(f"random:n={n},p={p},seed={seed},count={count}{suffix}", factory)
 

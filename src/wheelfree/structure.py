@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .connectivity import end_block, ends, vertex_connectivity
+from .connectivity import FRAGMENT_BUDGET, end_block, ends, vertex_connectivity
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -335,14 +335,14 @@ def _check_four_connected(g: Graph) -> VerifyResult:
                         detail=f"almost 4-wheel-free, 4-connected, centers {centers}, not K_{{4,4}}")
 
 
-def _check_ends_of_3_connected(g: Graph, budget: int = 20) -> VerifyResult:
+def _check_ends_of_3_connected(g: Graph) -> VerifyResult:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
     if g.n < 1 or vertex_connectivity(g) != 3:
         return VerifyResult("thm-4.5", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
-    if g.n > budget:
+    if g.n > FRAGMENT_BUDGET:
         return VerifyResult("thm-4.5", VerifyStatus.BUDGET_EXCEEDED, detail=f"n={g.n} over budget")
     try:
-        end_list = ends(g, budget=budget)
+        end_list = ends(g)
     except NoFragmentsError:
         return VerifyResult("thm-4.5", VerifyStatus.PASS, detail="no ends (complete graph)")
     for f in end_list:
@@ -369,12 +369,12 @@ def _check_two_degree_three(g: Graph) -> VerifyResult:
                         detail=f"4-wheel-free, kappa 3, only {count} vertices of degree 3")
 
 
-def _check_ends_of_2_connected(g: Graph, budget: int = 20) -> VerifyResult:
+def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
     """4-wheel-free, connectivity 2: every end has a vertex of degree <= 3
     in the ambient graph, or its end block is K_{4,4}."""
     if g.n < 1 or vertex_connectivity(g) != 2:
         return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 2")
-    if g.n > budget:
+    if g.n > FRAGMENT_BUDGET:
         return VerifyResult("thm-4.7", VerifyStatus.BUDGET_EXCEEDED, detail=f"n={g.n} over budget")
     wheel = find_k_wheel(g, 4)
     if wheel is not None:
@@ -382,7 +382,7 @@ def _check_ends_of_2_connected(g: Graph, budget: int = 20) -> VerifyResult:
                             detail="contains a 4-wheel", certificates=(wheel,))
     counters = {"low-degree-branch": 0, "k44-block-branch": 0}
     try:
-        end_list = ends(g, budget=budget)
+        end_list = ends(g)
     except NoFragmentsError:
         return VerifyResult("thm-4.7", VerifyStatus.PASS, detail="no ends (complete graph)",
                             counters=counters)
@@ -390,7 +390,7 @@ def _check_ends_of_2_connected(g: Graph, budget: int = 20) -> VerifyResult:
         if any(g.degree(v) <= 3 for v in f):
             counters["low-degree-branch"] += 1
             continue
-        block = end_block(g, f, budget=budget)
+        block = end_block(g, f)
         if is_isomorphic(block.graph, _K44):
             counters["k44-block-branch"] += 1
             continue

@@ -206,6 +206,17 @@ def test_verify_wheel_free_filter_past_oracle_budget(capsys):
     assert "summary: graphs=20 " in out
 
 
+def test_verify_unfillable_random_pool_exits_usage(capsys):
+    """A filter that no draw passes ends the pool with one error line."""
+    for pool in ("random:n=2,p=0.5,seed=1,count=1,min-degree=3",
+                 "random:n=5,p=1,seed=1,count=1,wheel-free=4"):
+        code, out, err = run(capsys, "verify", "thm-4.8", "--pool", pool)
+        assert code == EXIT_USAGE, pool
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "10000 draws in a row" in err and pool.split(",")[-1] in err
+
+
 def test_reports_byte_stable(capsys, tmp_path):
     f = tmp_path / "k4.g6"
     f.write_text("C~\n")
@@ -539,15 +550,20 @@ _PER_GRAPH = (["color4", "--emit-trace"], ["wheel", "--k", "4"], ["kappa"], ["en
               ["wm-cert", "--x", "0", "--X", "1,2,3,4"])
 _FILTERS = ("dedup", "min-degree=2", "connectivity-at-least=2", "wheel-free=4",
             "wheel-free=2", "min-degree=x")
+
+
+def _with_filters(heads):
+    return st.builds(lambda head, fs: ",".join([head, *fs]), heads,
+                     st.lists(st.sampled_from(_FILTERS), max_size=2))
+
+
 # n <= 5 and count <= 5 keep each pool small (exhaustive:n=8 alone is 2^28
-# graphs).  Random pools carry no filters: a filter that no G(n, p) draw can
-# pass makes the pool loop forever (recorded in CHANGES.md).
+# graphs).
 _descriptors = st.one_of(
-    st.builds(lambda n, fs: ",".join([f"exhaustive:n={n}", *fs]),
-              st.integers(-1, 5), st.lists(st.sampled_from(_FILTERS), max_size=2)),
-    st.builds("random:n={},p={},seed={},count={}".format, st.integers(-1, 5),
-              st.sampled_from(["0", "0.3", "1", "1.5", "abc"]), st.integers(-1, 9),
-              st.integers(-1, 5)),
+    _with_filters(st.builds("exhaustive:n={}".format, st.integers(-1, 5))),
+    _with_filters(st.builds("random:n={},p={},seed={},count={}".format, st.integers(-1, 5),
+                            st.sampled_from(["0", "0.3", "1", "1.5", "abc"]), st.integers(-1, 9),
+                            st.integers(-1, 5))),
     st.just("file:"),
     st.text(max_size=20),
 )

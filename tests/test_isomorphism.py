@@ -1,8 +1,9 @@
 """Canonical codes and isomorphism testing against brute permutation search."""
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wheelfree import (
@@ -122,17 +123,54 @@ def test_class_representatives_are_their_own_brute_code():
             assert canonical_code(rep) == code
 
 
+def test_equal_degree_sequence_pairs_n6_against_brute():
+    """Every pair of n=6 classes that degrees cannot tell apart, each class
+    under three seeded relabellings."""
+    rnd = random.Random(6)
+    classes = _nonisomorphic_graphs(6)
+    relabeled = []
+    for rep in classes:
+        perms = [rnd.sample(range(6), 6) for _ in range(3)]
+        relabeled.append([relabel(rep, perm) for perm in perms])
+    degrees = [sorted(rep.degree(v) for v in range(6)) for rep in classes]
+    pairs = 0
+    for a, b in combinations(range(len(classes)), 2):
+        if degrees[a] != degrees[b]:
+            continue
+        pairs += 1
+        for g in relabeled[a]:
+            for h in (classes[b], *relabeled[b]):
+                assert is_isomorphic(g, h) == brute_isomorphic(g, h)
+    assert pairs > 0
+    for rep, images in zip(classes, relabeled):
+        assert all(is_isomorphic(rep, h) for h in images)
+
+
+_HIGH_SYMMETRY = [icosahedron(), petersen(), circulant(10, (1, 2)), circulant(20, (1, 2)),
+                  complete_bipartite(3, 20), complete_bipartite(4)]
+
+
 def test_high_symmetry_graphs_under_relabeling():
     rnd = random.Random(12)
-    graphs = [icosahedron(), petersen(), circulant(10, (1, 2)), circulant(20, (1, 2)),
-              complete_bipartite(3, 20), complete_bipartite(4)]
-    for g in graphs:
+    for g in _HIGH_SYMMETRY:
         code = canonical_code(g)
         for _ in range(3):
             perm = list(range(g.n))
             rnd.shuffle(perm)
             assert canonical_code(relabel(g, perm)) == code
-        assert is_isomorphic(canonical_form(g), g)
+
+
+def test_canonical_form_of_high_symmetry_graphs_is_isomorphic():
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    for g in _HIGH_SYMMETRY:
+        assert nx.is_isomorphic(nx_graph(canonical_form(g)), nx_graph(g))
 
 
 @st.composite
