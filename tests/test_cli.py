@@ -478,6 +478,79 @@ def test_reports_golden(capsys, tmp_path, monkeypatch):
         assert (code, out, err) == (EXIT_OK, expected, ""), argv
 
 
+_CONJECTURE_K5 = "random:n=7,p=0.3,seed=5,count=25"
+_GOLDEN_POOL_REPORTS = {
+    ("verify", "thm-4.7", "--pool", "exhaustive:n=5"): (EXIT_OK, """report: verify
+version: 0.1.0
+statement: thm-4.7
+pool: exhaustive:n=5
+
+summary: graphs=1024 pass=212 not-applicable=812 counterexamples=0 budget-exceeded=0
+count k44-block-branch: 0
+count low-degree-branch: 540
+status: ok
+"""),
+    ("verify", "thm-4.5", "--pool", "file:k33e.g6"): (EXIT_COUNTEREXAMPLE, """report: verify
+version: 0.1.0
+statement: thm-4.5
+pool: file:k33e.g6
+
+summary: graphs=1 pass=0 not-applicable=0 counterexamples=1 budget-exceeded=0
+counterexample-file: counterexample-thm-4.5.txt
+status: counterexample
+"""),
+    ("conjecture", "--k", "5", "--pool", _CONJECTURE_K5): (EXIT_OK, f"""report: conjecture-search
+version: 0.1.0
+k: 5
+pool: {_CONJECTURE_K5}
+
+summary: graphs=25 wheel-free=25 over-chromatic=0
+status: ok
+"""),
+    ("conjecture", "--k", "3", "--pool", "file:c13.g6"): (EXIT_OK, """report: conjecture-search
+version: 0.1.0
+k: 3
+pool: file:c13.g6
+
+summary: graphs=1 wheel-free=1 over-chromatic=0 budget-exceeded=1
+status: ok
+"""),
+}
+_GOLDEN_K33E_BUNDLE = """graph6: Efz_
+statement: thm-4.5
+status: counterexample
+detail: non-trivial end (0, 1) with no 4-wheel center
+
+"""
+
+
+def test_pool_reports_golden(capsys, tmp_path, monkeypatch):
+    """The full stdout of verify and conjecture reports, and one bundle."""
+    (tmp_path / "k33e.g6").write_text(to_graph6(_K33E) + "\n")
+    (tmp_path / "c13.g6").write_text(to_graph6(cycle(13)) + "\n")
+    monkeypatch.chdir(tmp_path)
+    for argv, (code, expected) in _GOLDEN_POOL_REPORTS.items():
+        assert run(capsys, *argv) == (code, expected, ""), argv
+    assert (tmp_path / "counterexample-thm-4.5.txt").read_text() == _GOLDEN_K33E_BUNDLE
+
+
+def test_conjecture_candidate_golden(capsys, monkeypatch):
+    """The candidate branch, reached by an oracle that reports 6 colors."""
+    from wheelfree import cli
+
+    monkeypatch.setattr(cli, "brute_chromatic_number", lambda g: 6)
+    assert run(capsys, "conjecture", "--k", "5", "--pool", _CONJECTURE_K5) == (
+        EXIT_COUNTEREXAMPLE, f"""report: conjecture-search
+version: 0.1.0
+k: 5
+pool: {_CONJECTURE_K5}
+
+candidate: FDaGG
+chromatic-number: 6
+status: counterexample
+""", "")
+
+
 def test_directory_input_exit_usage(capsys, tmp_path):
     code, out, err = run(capsys, "wheel", str(tmp_path))
     assert code == EXIT_USAGE
