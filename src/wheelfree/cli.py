@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Reports are line-oriented ``key: value`` text, deterministic for fixed
-inputs and flags (timing lines only appear with --timing so default
-output stays byte-stable).  Exit codes: 0 success, 1 counterexample or
-wheel-free violation found, 2 usage or parse errors.
+Every report goes through one frame, ``_report``: a ``report:`` and
+``version:`` header, the command's lines, a ``status:`` line and, with
+--timing only, a wall-time line, so default output is byte-stable for
+fixed inputs and flags.  The per-graph commands share ``_per_graph``
+inside that frame.  Exit codes: 0 ok, 1 counterexample found (a
+``verify`` counterexample or a ``conjecture`` candidate), 2 usage, parse
+or input error, printed as one ``error:`` line on stderr.  Parse
+warnings print as one ``warning:`` line each on stderr.
 """
 
 from __future__ import annotations
@@ -11,11 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
+from collections import Counter
 
 from . import __version__
 from . import generators
 from .certificates import render, render_coloring, render_trace, render_verify_result, render_wm
-from .errors import BudgetExceededError, GraphError, ParseError, ToolkitError
+from .errors import BudgetExceededError, GraphError, ParseError, ParseWarning, ToolkitError
 from .formats import read_graphs, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
@@ -37,33 +43,39 @@ def _read_input(path: str) -> str:
         raise ParseError(f"{path}: input is not text ({exc.reason})") from None
 
 
-def _emit(out, args, started: float, status: str) -> None:
-    out.append(f"status: {status}")
-    if getattr(args, "timing", False):
+def _report(args, command: str, header: list[str], body) -> int:
+    """Frame one report: the ``report:``/``version:`` header and
+    ``header``, then the lines ``body(out)`` appends, the status line and
+    the --timing line.  ``body`` returns true when it found a
+    counterexample, which makes the exit code 1."""
+    started = time.perf_counter()
+    out = [f"report: {command}", f"version: {__version__}", *header]
+    found = body(out)
+    out.append(f"status: {'counterexample' if found else 'ok'}")
+    if args.timing:
         out.append(f"time: {time.perf_counter() - started:.3f}s")
     print("\n".join(out))
+    return EXIT_COUNTEREXAMPLE if found else EXIT_OK
 
 
 def _per_graph(args, command: str, report, count_key: str | None = None) -> int:
     """Shared driver of the per-graph commands: ``report(g, out)`` appends
     the lines for one graph; graphs for which it returns true are counted
     in the summary as ``count_key=<m>`` when a key is given."""
-    started = time.perf_counter()
-    graphs = read_graphs(_read_input(args.input), fmt=args.format)
-    out = [f"report: {command}", f"version: {__version__}", f"input: {args.input}"]
-    counted = 0
-    for i, g in enumerate(graphs, start=1):
-        out.append("")
-        out.append(f"graph {i}: {to_graph6(g)}")
-        if report(g, out):
-            counted += 1
-    out.append("")
-    summary = f"summary: graphs={len(graphs)}"
-    if count_key is not None:
-        summary += f" {count_key}={counted}"
-    out.append(summary)
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+    def body(out):
+        graphs = read_graphs(_read_input(args.input), fmt=args.format)
+        counted = 0
+        for i, g in enumerate(graphs, start=1):
+            out += ("", f"graph {i}: {to_graph6(g)}")
+            if report(g, out):
+                counted += 1
+        summary = f"summary: graphs={len(graphs)}"
+        if count_key is not None:
+            summary += f" {count_key}={counted}"
+        out += ("", summary)
+        return False
+
+    return _report(args, command, [f"input: {args.input}"], body)
 
 
 def cmd_color4(args) -> int:
@@ -131,74 +143,54 @@ def cmd_wm_cert(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     pool = parse_pool_descriptor(args.pool)
-    out: list[str] = []
-    out.append("report: verify")
-    out.append(f"version: {__version__}")
-    out.append(f"statement: {args.statement}")
-    out.append(f"pool: {pool.descriptor}")
-    counts = {status: 0 for status in VerifyStatus}
-    counters: dict[str, int] = {}
-    counterexamples = []
-    total = 0
-    for g in pool:
-        result = verify_statement(g, args.statement)
-        total += 1
-        counts[result.status] += 1
-        for key, val in result.counters.items():
-            counters[key] = counters.get(key, 0) + val
-        if result.violated:
-            counterexamples.append((g, result))
-    out.append("")
-    out.append(
-        "summary: graphs={} pass={} not-applicable={} counterexamples={} budget-exceeded={}".format(
-            total,
-            counts[VerifyStatus.PASS],
-            counts[VerifyStatus.NOT_APPLICABLE],
-            counts[VerifyStatus.COUNTEREXAMPLE],
-            counts[VerifyStatus.BUDGET_EXCEEDED],
-        )
-    )
-    for key in sorted(counters):
-        out.append(f"count {key}: {counters[key]}")
-    if counterexamples:
-        path = args.out or f"counterexample-{args.statement}.txt"
-        with open(path, "w") as fh:
-            for g, result in counterexamples:
-                fh.write(f"graph6: {to_graph6(g)}\n")
-                fh.write(render_verify_result(result))
-                fh.write("\n\n")
-        out.append(f"counterexample-file: {path}")
-        _emit(out, args, started, "counterexample")
-        return EXIT_COUNTEREXAMPLE
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+
+    def body(out):
+        counts: Counter[VerifyStatus] = Counter()
+        counters: Counter[str] = Counter()
+        counterexamples = []
+        for g in pool:
+            result = verify_statement(g, args.statement)
+            counts[result.status] += 1
+            counters.update(result.counters)
+            if result.violated:
+                counterexamples.append((g, result))
+        # VerifyStatus lists pass, not-applicable, counterexample, budget-exceeded
+        out += ("", "summary: graphs={} pass={} not-applicable={} counterexamples={} "
+                "budget-exceeded={}".format(sum(counts.values()), *(counts[s] for s in VerifyStatus)))
+        out.extend(f"count {key}: {counters[key]}" for key in sorted(counters))
+        if counterexamples:
+            path = args.out or f"counterexample-{args.statement}.txt"
+            with open(path, "w") as fh:
+                for g, result in counterexamples:
+                    fh.write(f"graph6: {to_graph6(g)}\n{render_verify_result(result)}\n\n")
+            out.append(f"counterexample-file: {path}")
+        return bool(counterexamples)
+
+    return _report(args, "verify", [f"statement: {args.statement}", f"pool: {pool.descriptor}"],
+                   body)
+
+
+# name -> (constructor, number of integer parameters)
+_GENERATORS = {
+    "complete": (generators.complete, 1),
+    "kkk": (generators.complete_bipartite, 1),
+    "tight": (generators.tight_example, 1),
+    "petersen": (generators.petersen, 0),
+    "icosahedron": (generators.icosahedron, 0),
+    "cycle": (generators.cycle, 1),
+}
 
 
 def cmd_gen(args) -> int:
-    name = args.name
-    params = args.params
+    if args.name not in _GENERATORS:
+        raise GraphError(f"unknown generator {args.name!r}")
+    make, arity = _GENERATORS[args.name]
     try:
-        if name == "complete":
-            g = generators.complete(int(params[0]))
-        elif name == "kkk":
-            g = generators.complete_bipartite(int(params[0]))
-        elif name == "tight":
-            g = generators.tight_example(int(params[0]))
-        elif name == "petersen":
-            g = generators.petersen()
-        elif name == "icosahedron":
-            g = generators.icosahedron()
-        elif name == "cycle":
-            g = generators.cycle(int(params[0]))
-        else:
-            print(f"error: unknown generator {name!r}", file=sys.stderr)
-            return EXIT_USAGE
+        params = [int(args.params[i]) for i in range(arity)]
     except (IndexError, ValueError):
-        print(f"error: generator {name!r} needs an integer parameter", file=sys.stderr)
-        return EXIT_USAGE
-    print(to_graph6(g))
+        raise GraphError(f"generator {args.name!r} needs an integer parameter") from None
+    print(to_graph6(make(*params)))
     return EXIT_OK
 
 
@@ -207,41 +199,32 @@ def cmd_conjecture(args) -> int:
 
     No outcome is expected either way; a hit exits 1 and prints the find.
     """
-    started = time.perf_counter()
     pool = parse_pool_descriptor(args.pool)
-    out: list[str] = []
-    out.append("report: conjecture-search")
-    out.append(f"version: {__version__}")
-    out.append(f"k: {args.k}")
-    out.append(f"pool: {pool.descriptor}")
-    checked = 0
-    free = 0
-    over_budget = 0
-    for g in pool:
-        checked += 1
-        if find_k_wheel(g, args.k) is not None:
-            continue
-        free += 1
-        if g.n <= args.k:
-            continue  # n colors always suffice
-        try:
-            chi = brute_chromatic_number(g)
-        except BudgetExceededError:
-            over_budget += 1
-            continue
-        if chi > args.k:
-            out.append("")
-            out.append(f"candidate: {to_graph6(g)}")
-            out.append(f"chromatic-number: {chi}")
-            _emit(out, args, started, "counterexample")
-            return EXIT_COUNTEREXAMPLE
-    out.append("")
-    summary = f"summary: graphs={checked} wheel-free={free} over-chromatic=0"
-    if over_budget:
-        summary += f" budget-exceeded={over_budget}"
-    out.append(summary)
-    _emit(out, args, started, "ok")
-    return EXIT_OK
+
+    def body(out):
+        checked = free = over_budget = 0
+        for g in pool:
+            checked += 1
+            if find_k_wheel(g, args.k) is not None:
+                continue
+            free += 1
+            if g.n <= args.k:
+                continue  # n colors always suffice
+            try:
+                chi = brute_chromatic_number(g)
+            except BudgetExceededError:
+                over_budget += 1
+                continue
+            if chi > args.k:
+                out += ("", f"candidate: {to_graph6(g)}", f"chromatic-number: {chi}")
+                return True
+        summary = f"summary: graphs={checked} wheel-free={free} over-chromatic=0"
+        if over_budget:
+            summary += f" budget-exceeded={over_budget}"
+        out += ("", summary)
+        return False
+
+    return _report(args, "conjecture-search", [f"k: {args.k}", f"pool: {pool.descriptor}"], body)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,14 +288,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (GraphError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", ParseWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (GraphError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -106,6 +106,34 @@ def parse_graph6_lines(text) -> list[Graph]:
     return graphs
 
 
+# -- edge records ---------------------------------------------------------
+
+
+def _edge(fields: list[str], line: str, lineno: int, n: int, base: int) -> tuple[int, int]:
+    """Validate one ``u v`` record with vertex ids ``base .. n - 1 + base``
+    and return it as a 0-indexed pair ``(min, max)``."""
+    if len(fields) != 2:
+        raise ParseError(f"malformed edge line {line!r}", offset=lineno)
+    try:
+        u, v = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError(f"non-integer endpoints in {line!r}", offset=lineno) from None
+    if u == v:
+        raise ParseError(f"loop edge {u} {v}", offset=lineno)
+    if not (base <= u < n + base and base <= v < n + base):
+        raise ParseError(f"edge endpoint out of range in {line!r}", offset=lineno)
+    return min(u, v) - base, max(u, v) - base
+
+
+def _collapsed(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The graph of the edge records, duplicates collapsed with a ParseWarning."""
+    distinct = set(edges)
+    if len(distinct) < len(edges):
+        warnings.warn(f"{len(edges) - len(distinct)} duplicate edge line(s) collapsed",
+                      ParseWarning, stacklevel=3)
+    return Graph(n, sorted(distinct))
+
+
 # -- DIMACS .col ----------------------------------------------------------
 
 
@@ -119,8 +147,7 @@ def parse_dimacs_col(text) -> Graph:
     text = _as_text(text)
     n = None
     declared_m = None
-    edges = set()
-    duplicates = 0
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -141,34 +168,16 @@ def parse_dimacs_col(text) -> Graph:
         elif fields[0] == "e":
             if n is None:
                 raise ParseError("edge line before problem line", offset=lineno)
-            if len(fields) != 3:
-                raise ParseError(f"malformed edge line {line!r}", offset=lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(f"non-integer endpoints in {line!r}", offset=lineno) from None
-            if u == v:
-                raise ParseError(f"loop edge {u} {v}", offset=lineno)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"edge endpoint out of range in {line!r}", offset=lineno)
-            e = (min(u, v) - 1, max(u, v) - 1)
-            if e in edges:
-                duplicates += 1
-            else:
-                edges.add(e)
+            edges.append(_edge(fields[1:], line, lineno, n, 1))
         else:
             raise ParseError(f"unexpected line {line!r}", offset=lineno)
     if n is None:
         raise ParseError("missing problem line")
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate edge line(s) collapsed", ParseWarning, stacklevel=2)
-    if declared_m != len(edges):
-        warnings.warn(
-            f"edge count mismatch: header says {declared_m}, found {len(edges)} distinct edges",
-            ParseWarning,
-            stacklevel=2,
-        )
-    return Graph(n, sorted(edges))
+    g = _collapsed(n, edges)
+    if declared_m != g.m:
+        warnings.warn(f"edge count mismatch: header says {declared_m}, found {g.m} distinct edges",
+                      ParseWarning, stacklevel=2)
+    return g
 
 
 def to_dimacs_col(g: Graph) -> str:
@@ -181,7 +190,8 @@ def to_dimacs_col(g: Graph) -> str:
 
 
 def parse_edge_list(text) -> Graph:
-    """Parse 'n m' followed by m lines 'u v' with 0-indexed endpoints."""
+    """Parse 'n m' followed by m lines 'u v' with 0-indexed endpoints;
+    lines starting with '#' are comments."""
     text = _as_text(text)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
@@ -199,28 +209,7 @@ def parse_edge_list(text) -> Graph:
         raise ParseError("negative counts in header", offset=lineno)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = set()
-    duplicates = 0
-    for lineno, ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 2:
-            raise ParseError(f"malformed edge line {ln!r}", offset=lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"non-integer endpoints in {ln!r}", offset=lineno) from None
-        if u == v:
-            raise ParseError(f"loop edge {u} {v}", offset=lineno)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge endpoint out of range in {ln!r}", offset=lineno)
-        e = (min(u, v), max(u, v))
-        if e in edges:
-            duplicates += 1
-        else:
-            edges.add(e)
-    if duplicates:
-        warnings.warn(f"{duplicates} duplicate edge line(s) collapsed", ParseWarning, stacklevel=2)
-    return Graph(n, sorted(edges))
+    return _collapsed(n, [_edge(ln.split(), ln, lineno, n, 0) for lineno, ln in lines[1:]])
 
 
 def to_edge_list(g: Graph) -> str:
@@ -240,14 +229,11 @@ def detect_format(text) -> str:
         return "graph6"
     for line in stripped.splitlines():
         line = line.strip()
-        if not line:
+        if not line or line.startswith("#"):
             continue
         fields = line.split()
-        if fields[0] in ("c", "p", "e") and (len(fields) == 1 or not fields[0].isdigit()):
-            if fields[0] == "c" or (fields[0] == "p" and len(fields) >= 2):
-                return "dimacs"
-            if fields[0] == "e":
-                return "dimacs"
+        if fields[0] in ("c", "e") or (fields[0] == "p" and len(fields) >= 2):
+            return "dimacs"
         if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
             return "edgelist"
         return "graph6"

@@ -10,7 +10,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterator
 
+from . import generators as gen
+from .connectivity import vertex_connectivity
 from .errors import BudgetExceededError, GraphError
+from .formats import parse_graph6_lines, to_graph6
 from .graph import Graph, bits, reach
 from .isomorphism import canonical_code
 from .wheels import Wheel, find_k_wheel, normalize_cycle
@@ -197,21 +200,29 @@ class SplitMix64:
         return (self.next_u64() >> 11) / (1 << 53)
 
 
-def _make_filter(min_degree: int | None, connectivity_at_least: int | None,
-                 wheel_free: int | None) -> Callable[[Graph], bool]:
-    def accept(g: Graph) -> bool:
-        if min_degree is not None and g.min_degree() < min_degree:
-            return False
-        if connectivity_at_least is not None:
-            from .connectivity import vertex_connectivity
+# descriptor key -> predicate(graph, value), in the order the filters run
+# (cheap before expensive) and print; the keyword argument of
+# ``enumerate_graphs`` and ``random_pool`` is the key with "_" for "-"
+_FILTERS = {
+    "min-degree": lambda g, d: g.min_degree() >= d,
+    "connectivity-at-least": lambda g, k: g.n >= 1 and vertex_connectivity(g) >= k,
+    "wheel-free": lambda g, k: find_k_wheel(g, k) is None,
+}
 
-            if g.n < 1 or vertex_connectivity(g) < connectivity_at_least:
+
+def _pool_filter(*values: int | None) -> tuple[Callable[[Graph], bool], str]:
+    """The accept test and descriptor suffix of the filters whose values,
+    given in ``_FILTERS`` order, are not None."""
+    chosen = [(key, value) for key, value in zip(_FILTERS, values) if value is not None]
+    tests = [(_FILTERS[key], value) for key, value in chosen]
+
+    def accept(g: Graph) -> bool:
+        for test, value in tests:
+            if not test(g, value):
                 return False
-        if wheel_free is not None and find_k_wheel(g, wheel_free) is not None:
-            return False
         return True
 
-    return accept
+    return accept, "".join(f",{key}={value}" for key, value in chosen)
 
 
 class GraphPool:
@@ -232,8 +243,6 @@ class GraphPool:
 
     def dump(self, path) -> int:
         """Write the pool as a graph6 line file; returns the line count."""
-        from .formats import to_graph6
-
         count = 0
         with open(path, "w") as fh:
             for g in self:
@@ -244,26 +253,10 @@ class GraphPool:
     @classmethod
     def from_graph6_file(cls, path) -> "GraphPool":
         def factory() -> Iterator[Graph]:
-            from .formats import parse_graph6
-
             with open(path, "rb") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        yield parse_graph6(line)
+                return iter(parse_graph6_lines(fh.read()))
 
         return cls(f"file:{path}", factory)
-
-
-def _filter_suffix(min_degree, connectivity_at_least, wheel_free) -> str:
-    parts = []
-    if min_degree is not None:
-        parts.append(f"min-degree={min_degree}")
-    if connectivity_at_least is not None:
-        parts.append(f"connectivity-at-least={connectivity_at_least}")
-    if wheel_free is not None:
-        parts.append(f"wheel-free={wheel_free}")
-    return ("," + ",".join(parts)) if parts else ""
 
 
 def enumerate_graphs(n: int, *, min_degree: int | None = None,
@@ -275,8 +268,7 @@ def enumerate_graphs(n: int, *, min_degree: int | None = None,
         raise GraphError("enumeration needs n >= 1")
     if n > 8:
         raise GraphError("labeled-exhaustive enumeration is capped at n <= 8")
-    accept = _make_filter(min_degree, connectivity_at_least, wheel_free)
-    suffix = _filter_suffix(min_degree, connectivity_at_least, wheel_free)
+    accept, suffix = _pool_filter(min_degree, connectivity_at_least, wheel_free)
     if dedup:
         def factory() -> Iterator[Graph]:
             for g in _nonisomorphic_graphs(n):
@@ -342,8 +334,7 @@ def random_pool(n: int, p: float, seed: int, count: int, *,
         raise GraphError("edge probability must be in [0, 1]")
     if n < 1 or count < 0:
         raise GraphError("need n >= 1 and count >= 0")
-    accept = _make_filter(min_degree, connectivity_at_least, wheel_free)
-    suffix = _filter_suffix(min_degree, connectivity_at_least, wheel_free)
+    accept, suffix = _pool_filter(min_degree, connectivity_at_least, wheel_free)
 
     def factory() -> Iterator[Graph]:
         rng = SplitMix64(seed)
@@ -377,8 +368,6 @@ def random_pool(n: int, p: float, seed: int, count: int, *,
 
 
 def _curated_graphs(name: str) -> list[Graph]:
-    from . import generators as gen
-
     if name == "lemma42":
         return [gen.complete(6), gen.complete_bipartite(5), gen.icosahedron()]
     if name == "four-connected":
@@ -414,26 +403,35 @@ def curated_pool(name: str) -> GraphPool:
     return GraphPool(f"curated:{name}", lambda: iter(graphs), size=len(graphs))
 
 
+# pool kind -> (known keys besides the filters, known flags)
+_POOL_KEYS = {
+    "exhaustive": ({"n"}, {"dedup"}),
+    "random": ({"n", "p", "seed", "count"}, set()),
+}
+
+
 def parse_pool_descriptor(text: str) -> GraphPool:
     """Build a pool from its descriptor string, e.g. ``exhaustive:n=7``,
     ``random:n=8,p=0.5,seed=42,count=1000``, ``curated:wm`` or
-    ``file:pool.g6``.  Filters append as ``min-degree=``,
-    ``connectivity-at-least=`` and ``wheel-free=`` pairs."""
+    ``file:pool.g6``.  Filters append as ``_FILTERS`` key=value pairs.
+    An unknown or repeated key or flag is a GraphError."""
     kind, _, rest = text.partition(":")
     if kind == "curated":
         return curated_pool(rest)
     if kind == "file":
         return GraphPool.from_graph6_file(rest)
+    if kind not in _POOL_KEYS:
+        raise GraphError(f"unknown pool kind {kind!r}")
+    keys, flags = _POOL_KEYS[kind]
     opts: dict[str, str] = {}
-    flags = set()
-    for part in rest.split(","):
-        if not part:
-            continue
-        if "=" in part:
-            key, val = part.split("=", 1)
-            opts[key] = val
-        else:
-            flags.add(part)
+    for part in filter(None, rest.split(",")):
+        key, is_pair, val = part.partition("=")
+        if key not in (keys | _FILTERS.keys() if is_pair else flags):
+            raise GraphError(f"pool descriptor {text!r}: unknown "
+                             f"{'key' if is_pair else 'flag'} {key!r}")
+        if key in opts:
+            raise GraphError(f"pool descriptor {text!r} repeats {key!r}")
+        opts[key] = val
 
     def number(key: str, convert=int):
         try:
@@ -442,18 +440,11 @@ def parse_pool_descriptor(text: str) -> GraphPool:
             raise GraphError(f"pool descriptor {text!r}: "
                              f"{key}={opts[key]!r} is not a number") from None
 
-    filters = {
-        "min_degree": number("min-degree") if "min-degree" in opts else None,
-        "connectivity_at_least": number("connectivity-at-least")
-        if "connectivity-at-least" in opts else None,
-        "wheel_free": number("wheel-free") if "wheel-free" in opts else None,
-    }
+    filters = {key.replace("-", "_"): number(key) for key in _FILTERS if key in opts}
     try:
         if kind == "exhaustive":
-            return enumerate_graphs(number("n"), dedup="dedup" in flags, **filters)
-        if kind == "random":
-            return random_pool(number("n"), number("p", float), number("seed"),
-                               number("count"), **filters)
+            return enumerate_graphs(number("n"), dedup="dedup" in opts, **filters)
+        return random_pool(number("n"), number("p", float), number("seed"), number("count"),
+                           **filters)
     except KeyError as exc:
         raise GraphError(f"pool descriptor {text!r} is missing {exc}") from None
-    raise GraphError(f"unknown pool kind {kind!r}")

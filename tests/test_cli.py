@@ -51,6 +51,14 @@ def test_gen_bad_params(capsys):
     assert code == EXIT_USAGE
 
 
+def test_gen_generator_error_reaches_user(capsys):
+    """Only a non-integer or missing parameter is a parameter error; a
+    value the generator refuses reports the generator's own message."""
+    assert run(capsys, "gen", "cycle", "x") == (
+        EXIT_USAGE, "", "error: generator 'cycle' needs an integer parameter\n")
+    assert run(capsys, "gen", "cycle", "2") == (EXIT_USAGE, "", "error: cycle(n) requires n >= 3\n")
+
+
 def test_color4_k4(capsys, tmp_path):
     f = tmp_path / "k4.g6"
     f.write_text("C~\n")
@@ -194,6 +202,43 @@ def test_verify_non_numeric_descriptor_values_exit_usage(capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert repr(pool) in err
+
+
+def test_unknown_or_repeated_descriptor_keys_exit_usage(capsys):
+    """A misspelled or repeated key or flag is an input error naming it,
+    not a pool that silently drops it."""
+    for pool, named in (("exhaustive:n=4,min-degre=3", "unknown key 'min-degre'"),
+                        ("exhaustive:n=4,dedupe", "unknown flag 'dedupe'"),
+                        ("random:n=4,p=0.5,seed=1,count=3,dedup", "unknown flag 'dedup'"),
+                        ("exhaustive:n=4,n=5", "repeats 'n'"),
+                        ("exhaustive:n=4,dedup,dedup", "repeats 'dedup'"),
+                        ("wat:n=3", "unknown pool kind 'wat'")):
+        for argv in (["verify", "thm-4.8"], ["conjecture", "--k", "4"]):
+            code, out, err = run(capsys, *argv, "--pool", pool)
+            assert code == EXIT_USAGE, pool
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert named in err, err
+
+
+def test_parse_warnings_print_one_line_each_every_call(capsys, tmp_path):
+    f = tmp_path / "dup.col"
+    f.write_text("p edge 3 4\ne 1 2\ne 2 1\ne 2 3\ne 1 3\n")
+    for _ in range(2):
+        code, out, err = run(capsys, "kappa", str(f))
+        assert code == EXIT_OK
+        assert out == (f"report: kappa\nversion: 0.1.0\ninput: {f}\n\ngraph 1: Bw\nkappa: 2\n\n"
+                       "summary: graphs=1\nstatus: ok\n")
+        assert err == ("warning: 1 duplicate edge line(s) collapsed\n"
+                       "warning: edge count mismatch: header says 4, found 3 distinct edges\n")
+
+
+def test_commented_edge_list_is_sniffed(capsys, tmp_path):
+    f = tmp_path / "tri.txt"
+    f.write_text("# triangle\n3 3\n0 1\n1 2\n0 2\n")
+    code, out, err = run(capsys, "kappa", str(f))
+    assert (code, err) == (EXIT_OK, "")
+    assert "kappa: 2\n" in out
 
 
 def test_verify_wheel_free_filter_past_oracle_budget(capsys):
@@ -621,19 +666,19 @@ _input_bytes = st.one_of(
 )
 _PER_GRAPH = (["color4", "--emit-trace"], ["wheel", "--k", "4"], ["kappa"], ["ends"],
               ["wm-cert", "--x", "0", "--X", "1,2,3,4"])
-_FILTERS = ("dedup", "min-degree=2", "connectivity-at-least=2", "wheel-free=4",
-            "wheel-free=2", "min-degree=x")
+_FILTERS = ("min-degree=2", "connectivity-at-least=2", "wheel-free=4", "wheel-free=2",
+            "min-degree=x")
 
 
-def _with_filters(heads):
+def _with_filters(heads, extra=()):
     return st.builds(lambda head, fs: ",".join([head, *fs]), heads,
-                     st.lists(st.sampled_from(_FILTERS), max_size=2))
+                     st.lists(st.sampled_from(_FILTERS + extra), max_size=2))
 
 
 # n <= 5 and count <= 5 keep each pool small (exhaustive:n=8 alone is 2^28
 # graphs).
 _descriptors = st.one_of(
-    _with_filters(st.builds("exhaustive:n={}".format, st.integers(-1, 5))),
+    _with_filters(st.builds("exhaustive:n={}".format, st.integers(-1, 5)), extra=("dedup",)),
     _with_filters(st.builds("random:n={},p={},seed={},count={}".format, st.integers(-1, 5),
                             st.sampled_from(["0", "0.3", "1", "1.5", "abc"]), st.integers(-1, 9),
                             st.integers(-1, 5))),

@@ -182,6 +182,8 @@ def test_detect_format():
     assert detect_format("p edge 3 3\ne 1 2\n") == "dimacs"
     assert detect_format("c comment\np edge 3 0\n") == "dimacs"
     assert detect_format("3 1\n0 1\n") == "edgelist"
+    assert detect_format("# triangle\n3 3\n0 1\n1 2\n0 2\n") == "edgelist"
+    assert read_graphs("# triangle\n3 3\n0 1\n1 2\n0 2\n") == [complete(3)]
 
 
 def test_read_graphs_multi():

@@ -161,6 +161,11 @@ def test_pool_descriptor_roundtrip():
         pool = parse_pool_descriptor(desc)
         assert list(pool)  # non-empty and iterable twice
         assert list(pool) == list(parse_pool_descriptor(pool.descriptor))
+    # filters print in one fixed order, whatever order the descriptor gives
+    pool = parse_pool_descriptor("exhaustive:n=5,wheel-free=4,connectivity-at-least=2,min-degree=2")
+    assert pool.descriptor == "exhaustive:n=5,min-degree=2,connectivity-at-least=2,wheel-free=4"
+    assert list(pool) == list(enumerate_graphs(5, min_degree=2, connectivity_at_least=2,
+                                               wheel_free=4))
 
 
 def test_pool_descriptor_errors():
@@ -170,6 +175,13 @@ def test_pool_descriptor_errors():
         parse_pool_descriptor("bogus:n=6")
     with pytest.raises(GraphError):
         parse_pool_descriptor("curated:nope")
+    for desc, named in (("exhaustive:n=4,wheelfree=4", "unknown key 'wheelfree'"),
+                        ("exhaustive:n=4,dedup=1", "unknown key 'dedup'"),
+                        ("random:n=4,p=0.5,seed=1,count=3,dedup", "unknown flag 'dedup'"),
+                        ("random:n=4,p=0.5,seed=1,seed=2,count=3", "repeats 'seed'"),
+                        ("exhaustive:n=4,min-degree=1,min-degree=2", "repeats 'min-degree'")):
+        with pytest.raises(GraphError, match=named):
+            parse_pool_descriptor(desc)
 
 
 def test_curated_pools_sane():

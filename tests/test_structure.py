@@ -181,6 +181,15 @@ def test_verify_thm44_k44_passes():
     assert r.status is VerifyStatus.PASS
 
 
+def test_is_k44_by_cached_code():
+    from wheelfree import circulant, relabel
+    from wheelfree.structure import _is_k44
+
+    assert _is_k44(relabel(complete_bipartite(4), [3, 5, 0, 7, 1, 2, 6, 4]))
+    assert not _is_k44(circulant(8, (1, 2)))  # also 8 vertices and 16 edges
+    assert not _is_k44(complete_bipartite(3, 5))
+
+
 def test_verify_thm44_not_applicable():
     r = verify_statement(complete(6), "thm-4.4")
     assert r.status is VerifyStatus.NOT_APPLICABLE
