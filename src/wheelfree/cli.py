@@ -155,9 +155,10 @@ def cmd_verify(args) -> int:
             counters.update(result.counters)
             if result.violated:
                 counterexamples.append((g, result))
-        # VerifyStatus lists pass, not-applicable, counterexample, budget-exceeded
-        out += ("", "summary: graphs={} pass={} not-applicable={} counterexamples={} "
-                "budget-exceeded={}".format(sum(counts.values()), *(counts[s] for s in VerifyStatus)))
+        out += ("", f"summary: graphs={sum(counts.values())} pass={counts[VerifyStatus.PASS]} "
+                f"not-applicable={counts[VerifyStatus.NOT_APPLICABLE]} "
+                f"counterexamples={counts[VerifyStatus.COUNTEREXAMPLE]} "
+                f"budget-exceeded={counts[VerifyStatus.BUDGET_EXCEEDED]}")
         out.extend(f"count {key}: {counters[key]}" for key in sorted(counters))
         if counterexamples:
             path = args.out or f"counterexample-{args.statement}.txt"
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a named graph as graph6")
-    p.add_argument("name", help="complete | kkk | tight | petersen | icosahedron | cycle")
+    p.add_argument("name", help=" | ".join(_GENERATORS))
     p.add_argument("params", nargs="*", help="integer parameters for the generator")
     p.set_defaults(func=cmd_gen)
 
