@@ -1,11 +1,14 @@
 """Vertex connectivity, fans of internally disjoint paths, and the
 fragment / end / end-block decomposition.
 
-Connectivity and fans share one unit-capacity vertex-split max flow,
-``_fan_flow``: the connectivity between non-adjacent s and t is the
-largest fan from s into N(t).  Fragments and ends are enumerated straight
-from their definitions over all vertex subsets, for graphs with at most
-``FRAGMENT_BUDGET`` vertices.
+Connectivity, fans and ends share one unit-capacity vertex-split max
+flow, ``_fan_flow``: the connectivity between non-adjacent s and t is the
+largest fan from s into N(t), and an end is the closest minimum cut of
+such a flow (Picard & Queyranne, "On the structure of all minimum cuts
+in a network", Math. Prog. Study 1980), found in polynomial time at any
+size.  ``fragments`` alone scans all vertex subsets, for graphs with at
+most ``FRAGMENT_BUDGET`` vertices; it is the independent oracle for
+``ends``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import (
 )
 from .graph import Graph, VertexSet, bits, induced_subgraph, reach, set_neighbors
 
-# Largest vertex count whose 2^n subset scan fragments, ends and end blocks
-# will run; larger graphs raise BudgetExceededError.
+# Largest vertex count whose 2^n subset scan ``fragments`` will run; larger
+# graphs raise BudgetExceededError.  Ends and end blocks have no budget.
 FRAGMENT_BUDGET = 20
 
 
@@ -311,6 +314,42 @@ def _fragment_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
     return out
 
 
+def _end_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
+    """Masks of all ends of a non-complete graph of connectivity ``kappa``.
+
+    A vertex of degree kappa is a singleton end, and no other end contains
+    it.  Every other end E holds some x of degree > kappa; for any y outside
+    E u N(E), E is the closest x-side minimum cut F(x, y): the out-nodes
+    reachable from x_out in the residual of a maximum fan from x into N(y).
+    F(x, y) is a fragment and lies inside every fragment that separates x
+    from y.  Once F = F(x, y) is known, every y' outside F u N(F) is
+    skipped: an end E at x with y' outside E u N(E) meets both F and its
+    far side, so by the fragment crossing lemma E lies inside F; then y
+    lies outside E u N(E), F lies inside E, and E = F was already found.
+    The ends are the inclusion-minimal candidates; a candidate holding a
+    vertex of degree kappa is never one.
+    """
+    full = (1 << n) - 1
+    every_node = (1 << (2 * n + 1)) - 1
+    low = sum(1 << v for v in range(n) if adj[v].bit_count() == kappa)
+    cands = {1 << v for v in bits(low)}
+    for x in bits(full & ~low):
+        todo = full & ~adj[x] & ~(1 << x)
+        while todo:
+            y = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if (adj[x] & adj[y]).bit_count() > kappa:
+                continue
+            flow, res = _fan_flow(adj, n, x, adj[y], kappa + 1)
+            if flow > kappa:
+                continue
+            f = reach(res, 1 << (x + n), every_node) >> n & full
+            todo &= f | set_neighbors(adj, f)
+            if not f & low:
+                cands.add(f)
+    return [f for f in cands if not any(h != f and h & ~f == 0 for h in cands)]
+
+
 def is_fragment(g: Graph, f: VertexSet) -> bool:
     """Definition check: |N(F)| equals the connectivity and F-bar is non-empty."""
     fmask = g.vertex_mask(f)
@@ -322,30 +361,38 @@ def is_fragment(g: Graph, f: VertexSet) -> bool:
     return nb.bit_count() == kappa and fbar != 0
 
 
-def _fragment_scan(g: Graph, what: str) -> list[int]:
-    """Masks of all fragments, after the budget and no-fragments guards."""
-    if g.n > FRAGMENT_BUDGET:
-        raise BudgetExceededError(f"{what} enumeration budget is n <= {FRAGMENT_BUDGET}, got {g.n}")
+def _require_fragments(g: Graph) -> None:
     if g.n <= 1 or g.is_complete():
         raise NoFragmentsError("complete graphs and the single vertex have no fragments")
-    return _fragment_masks(g.masks, g.n, vertex_connectivity(g))
 
 
 def fragments(g: Graph) -> list[tuple[int, ...]]:
-    """All fragments, sorted lexicographically.
+    """All fragments, sorted lexicographically, by a scan of every vertex
+    subset; the independent oracle for ``ends``.
 
     Raises NoFragmentsError for complete graphs and the single vertex
     (which have none), and BudgetExceededError instead of guessing when
     the subset enumeration would be too large.
     """
-    return sorted(tuple(bits(m)) for m in _fragment_scan(g, "fragment"))
+    if g.n > FRAGMENT_BUDGET:
+        raise BudgetExceededError(f"fragment enumeration budget is n <= {FRAGMENT_BUDGET}, got {g.n}")
+    _require_fragments(g)
+    masks = _fragment_masks(g.masks, g.n, vertex_connectivity(g))
+    return sorted(tuple(bits(m)) for m in masks)
+
+
+def _ends(g: Graph, kappa: int) -> list[tuple[int, ...]]:
+    """``ends`` of a non-complete graph whose connectivity the caller holds."""
+    return sorted(tuple(bits(m)) for m in _end_masks(g.masks, g.n, kappa))
 
 
 def ends(g: Graph) -> list[tuple[int, ...]]:
-    """All ends (inclusion-minimal fragments), sorted lexicographically."""
-    masks = _fragment_scan(g, "end")
-    minimal = [f for f in masks if not any(h != f and h & ~f == 0 for h in masks)]
-    return sorted(tuple(bits(m)) for m in minimal)
+    """All ends (inclusion-minimal fragments), sorted lexicographically.
+
+    Raises NoFragmentsError for complete graphs and the single vertex.
+    """
+    _require_fragments(g)
+    return _ends(g, vertex_connectivity(g))
 
 
 @dataclass
@@ -394,7 +441,9 @@ def end_block(g: Graph, f: VertexSet, verify: bool = False) -> EndBlock:
     """
     fmask = g.vertex_mask(f)
     fverts = tuple(bits(fmask))
-    if fverts not in ends(g):
+    _require_fragments(g)
+    kappa = vertex_connectivity(g)
+    if fverts not in _ends(g, kappa):
         raise GraphError(f"{fverts} is not an end of the graph")
     nb = set_neighbors(g.masks, fmask)
     attachment = tuple(bits(nb))
@@ -421,7 +470,6 @@ def end_block(g: Graph, f: VertexSet, verify: bool = False) -> EndBlock:
         marker_edges=tuple(markers),
     )
     if verify and len(fverts) >= 2:
-        kappa = vertex_connectivity(g)
         if vertex_connectivity(sub) < kappa + 1:
             raise TheoremViolationError(
                 "end block of a non-trivial end is not more connected than the graph",

@@ -33,13 +33,10 @@ def relabel(g: Graph, perm) -> Graph:
 
 def _refine(g: Graph) -> list[int]:
     """Stable vertex colors from iterated (color, sorted neighbor colors)."""
-    n = g.n
-    colors = [g.degree(v) for v in range(n)]
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    colors = [len(nb) for nb in nbrs]
     while True:
-        sigs = []
-        for v in range(n):
-            nbr = tuple(sorted(colors[u] for u in g.neighbors(v)))
-            sigs.append((colors[v], nbr))
+        sigs = [(c, tuple(sorted(colors[u] for u in nb))) for c, nb in zip(colors, nbrs)]
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == colors:

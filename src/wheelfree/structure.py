@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .connectivity import FRAGMENT_BUDGET, end_block, ends, vertex_connectivity
+from .connectivity import _ends, end_block, vertex_connectivity
 from .errors import (
     BudgetExceededError,
     CertificateError,
     GraphError,
-    NoFragmentsError,
     TheoremViolationError,
 )
 from .generators import complete_bipartite
@@ -343,12 +342,9 @@ def _check_ends_of_3_connected(g: Graph) -> VerifyResult:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
     if g.n < 1 or vertex_connectivity(g) != 3:
         return VerifyResult("thm-4.5", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
-    if g.n > FRAGMENT_BUDGET:
-        return VerifyResult("thm-4.5", VerifyStatus.BUDGET_EXCEEDED, detail=f"n={g.n} over budget")
-    try:
-        end_list = ends(g)
-    except NoFragmentsError:
+    if g.is_complete():
         return VerifyResult("thm-4.5", VerifyStatus.PASS, detail="no ends (complete graph)")
+    end_list = _ends(g, 3)
     for f in end_list:
         if len(f) == 1:
             continue
@@ -378,18 +374,15 @@ def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
     in the ambient graph, or its end block is K_{4,4}."""
     if g.n < 1 or vertex_connectivity(g) != 2:
         return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 2")
-    if g.n > FRAGMENT_BUDGET:
-        return VerifyResult("thm-4.7", VerifyStatus.BUDGET_EXCEEDED, detail=f"n={g.n} over budget")
     wheel = find_k_wheel(g, 4)
     if wheel is not None:
         return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE,
                             detail="contains a 4-wheel", certificates=(wheel,))
     counters = {"low-degree-branch": 0, "k44-block-branch": 0}
-    try:
-        end_list = ends(g)
-    except NoFragmentsError:
+    if g.is_complete():
         return VerifyResult("thm-4.7", VerifyStatus.PASS, detail="no ends (complete graph)",
                             counters=counters)
+    end_list = _ends(g, 2)
     for f in end_list:
         if any(g.degree(v) <= 3 for v in f):
             counters["low-degree-branch"] += 1

@@ -107,6 +107,14 @@ def test_ends_c5(capsys, tmp_path):
     assert out.count("end: ") == 5
 
 
+def test_ends_c25_past_scan_budget(capsys, tmp_path):
+    f = tmp_path / "c25.g6"
+    f.write_text(to_graph6(cycle(25)) + "\n")
+    code, out, _ = run(capsys, "ends", str(f))
+    assert code == EXIT_OK
+    assert "ends: 25" in out
+
+
 def test_wheel_petersen_free(capsys, tmp_path):
     from wheelfree import petersen, to_graph6
 

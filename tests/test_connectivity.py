@@ -1,5 +1,7 @@
 """Connectivity, fans, fragments, ends and end blocks."""
 
+import random
+
 import pytest
 
 from wheelfree import (
@@ -14,6 +16,7 @@ from wheelfree import (
     cycle,
     end_block,
     ends,
+    enumerate_graphs,
     extend_fan,
     find_k_fan,
     fragments,
@@ -21,6 +24,7 @@ from wheelfree import (
     is_fragment,
     path,
     petersen,
+    relabel,
     star,
     vertex_connectivity,
 )
@@ -356,11 +360,69 @@ def test_ends_bowtie():
 
 
 def test_budget_exceeded_distinguished():
+    # only the subset scan has a budget; ends come from minimum cuts
     g = Graph(25)
     with pytest.raises(BudgetExceededError):
         fragments(g)
-    with pytest.raises(BudgetExceededError):
-        ends(g)
+    assert ends(g) == [(v,) for v in range(25)]
+
+
+def _minimal_fragments(g: Graph) -> list[tuple[int, ...]]:
+    frs = [set(f) for f in fragments(g)]
+    return sorted(tuple(sorted(f)) for f in frs if not any(h < f for h in frs))
+
+
+def _gnp(rng: random.Random, n: int, p: float) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def test_ends_match_fragment_scan_labeled_n6():
+    for n in range(2, 7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_code(n, code)
+            if not g.is_complete():
+                assert ends(g) == _minimal_fragments(g), f"n={n} code={code}"
+
+
+def test_ends_match_fragment_scan_classes_n7():
+    for g in enumerate_graphs(7, dedup=True):
+        if not g.is_complete():
+            assert ends(g) == _minimal_fragments(g), f"code={g.edge_code()}"
+
+
+def test_ends_match_fragment_scan_random():
+    rng = random.Random(8)
+    kappas = set()
+    for n in range(8, 15):
+        for p in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
+            for _ in range(3):
+                g = _gnp(rng, n, p)
+                if g.is_complete():
+                    continue
+                kappas.add(vertex_connectivity(g))
+                assert ends(g) == _minimal_fragments(g), f"n={n} code={g.edge_code()}"
+    assert {0, 1} <= kappas
+
+
+def test_ends_relabelling_invariant():
+    rng = random.Random(9)
+    for n, p in ((9, 0.3), (12, 0.5), (16, 0.4), (24, 0.25)):
+        g = _gnp(rng, n, p)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        image = sorted(tuple(sorted(perm[v] for v in f)) for f in ends(g))
+        assert ends(relabel(g, perm)) == image
+
+
+def test_ends_past_scan_budget():
+    # two K_11 joined by the matching 0-11, 1-12, 2-13: kappa 3, and the
+    # ends are the two cliques minus their matched vertices
+    edges = [(u, v) for side in (0, 11) for u in range(side, side + 11)
+             for v in range(u + 1, side + 11)]
+    g = Graph(22, edges + [(0, 11), (1, 12), (2, 13)])
+    assert vertex_connectivity(g) == 3
+    assert ends(g) == [tuple(range(3, 11)), tuple(range(14, 22))]
+    assert ends(circulant(30, (1, 2))) == [(v,) for v in range(30)]
 
 
 def test_two_disjoint_ends_small():

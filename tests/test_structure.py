@@ -230,16 +230,29 @@ def test_verify_thm47_counts_branches():
     assert r.status is VerifyStatus.PASS
     assert r.counters["low-degree-branch"] == len(ends(g))
     assert r.counters["k44-block-branch"] == 0
+    # K_{4,4} with the edge 0-4 subdivided by vertex 8: the end {1,2,3,5,6,7}
+    # has only degree-4 vertices and its end block is K_{4,4}
+    g = Graph(9, [(a, b) for a in range(4) for b in range(4, 8) if (a, b) != (0, 4)]
+              + [(0, 8), (8, 4)])
+    r = verify_statement(g, "thm-4.7")
+    assert r.status is VerifyStatus.PASS
+    assert r.counters == {"low-degree-branch": 1, "k44-block-branch": 1}
 
 
 def test_verify_budget_exceeded_status():
-    # a long cycle has connectivity 2 but exceeds the end-enumeration budget
-    r = verify_statement(cycle(25), "thm-4.7")
+    # a long cycle is 4-wheel-free, so cor-1.5 needs the brute chromatic
+    # oracle, which is over its budget
+    r = verify_statement(cycle(25), "cor-1.5")
     assert r.status is VerifyStatus.BUDGET_EXCEEDED
-    # a big wheel has connectivity 3 and also exceeds the budget
+    # ends have no budget: the same cycle and a 24-spoke wheel get verdicts
+    r = verify_statement(cycle(25), "thm-4.7")
+    assert r.status is VerifyStatus.PASS
+    assert r.detail == "25 ends checked"
+    assert r.counters["low-degree-branch"] == 25
     hub_and_rim = Graph(25, [(i, (i + 1) % 24) for i in range(24)] + [(24, i) for i in range(24)])
     r = verify_statement(hub_and_rim, "thm-4.5")
-    assert r.status is VerifyStatus.BUDGET_EXCEEDED
+    assert r.status is VerifyStatus.PASS
+    assert r.detail == "24 ends checked"
 
 
 def test_verify_unknown_statement():
