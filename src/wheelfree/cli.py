@@ -187,6 +187,9 @@ def cmd_gen(args) -> int:
     if args.name not in _GENERATORS:
         raise GraphError(f"unknown generator {args.name!r}")
     make, arity = _GENERATORS[args.name]
+    if len(args.params) > arity:
+        raise GraphError(f"generator {args.name!r} takes {arity} parameter"
+                         f"{'' if arity == 1 else 's'}, got {len(args.params)}")
     try:
         params = [int(args.params[i]) for i in range(arity)]
     except (IndexError, ValueError):

@@ -432,47 +432,45 @@ class EndBlock:
                     raise CertificateError("block graph misses an original edge")
 
 
-def end_block(g: Graph, f: VertexSet, verify: bool = False) -> EndBlock:
-    """Build the end block of the end ``f``.
-
-    With ``verify=True`` and a non-trivial end, also asserts that the
-    block is strictly more connected than the ambient graph (raising
-    TheoremViolationError if that ever failed).
-    """
-    fmask = g.vertex_mask(f)
-    fverts = tuple(bits(fmask))
-    _require_fragments(g)
-    kappa = vertex_connectivity(g)
-    if fverts not in _ends(g, kappa):
-        raise GraphError(f"{fverts} is not an end of the graph")
+def _end_block(g: Graph, fmask: int) -> EndBlock:
+    """The end block of the end ``fmask``, which the caller holds as an end."""
     nb = set_neighbors(g.masks, fmask)
     attachment = tuple(bits(nb))
-    keep = tuple(bits(fmask | nb))
-    sub, idmap = induced_subgraph(g, keep)
+    sub, idmap = induced_subgraph(g, bits(fmask | nb))
+    masks = list(sub.masks)
     markers = []
-    extra_edges = []
     for i, u in enumerate(attachment):
         for v in attachment[i + 1:]:
             if not g.has_edge(u, v):
                 markers.append((u, v))
-                extra_edges.append((idmap[u], idmap[v]))
-    if extra_edges:
-        masks = list(sub.masks)
-        for a, b in extra_edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        sub = Graph.from_masks(masks)
-    block = EndBlock(
-        fragment=fverts,
+                a, b = idmap[u], idmap[v]
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return EndBlock(
+        fragment=tuple(bits(fmask)),
         attachment=attachment,
-        graph=sub,
+        graph=Graph._of(sub.n, masks),
         vertex_map=idmap,
         marker_edges=tuple(markers),
     )
-    if verify and len(fverts) >= 2:
-        if vertex_connectivity(sub) < kappa + 1:
-            raise TheoremViolationError(
-                "end block of a non-trivial end is not more connected than the graph",
-                graph=g,
-            )
+
+
+def end_block(g: Graph, f: VertexSet) -> EndBlock:
+    """Build the end block of the end ``f``.
+
+    Raises GraphError when ``f`` is not an end.  For a non-trivial end,
+    also asserts that the block is strictly more connected than the
+    ambient graph, raising TheoremViolationError if that ever failed.
+    """
+    fmask = g.vertex_mask(f)
+    _require_fragments(g)
+    kappa = vertex_connectivity(g)
+    if fmask not in _end_masks(g.masks, g.n, kappa):
+        raise GraphError(f"{tuple(bits(fmask))} is not an end of the graph")
+    block = _end_block(g, fmask)
+    if fmask.bit_count() >= 2 and vertex_connectivity(block.graph) < kappa + 1:
+        raise TheoremViolationError(
+            "end block of a non-trivial end is not more connected than the graph",
+            graph=g,
+        )
     return block

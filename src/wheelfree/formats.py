@@ -73,7 +73,7 @@ def parse_graph6(data) -> Graph:
     return Graph._of(n, adj)
 
 
-def to_graph6(g: Graph, header: bool = False) -> str:
+def to_graph6(g: Graph) -> str:
     """Encode to a graph6 line (short form; requires n <= 62)."""
     n = g.n
     if n > 62:
@@ -91,8 +91,7 @@ def to_graph6(g: Graph, header: bool = False) -> str:
                 nb = 0
     if nb:
         out.append(chr((val << (6 - nb)) + 63))
-    s = "".join(out)
-    return GRAPH6_HEADER + s if header else s
+    return "".join(out)
 
 
 def parse_graph6_lines(text) -> list[Graph]:

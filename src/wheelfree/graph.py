@@ -148,9 +148,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((a.bit_count() for a in self._adj), default=0)
 
-    def max_degree(self) -> int:
-        return max((a.bit_count() for a in self._adj), default=0)
-
     def is_complete(self) -> bool:
         return all(a.bit_count() == self.n - 1 for a in self._adj)
 

@@ -5,7 +5,7 @@ The reduction fact driving everything: a 4-wheel-free graph always has a
 vertex of degree at most 3 or a pair of twins (non-adjacent vertices
 with equal neighborhoods), and the analogous statement for 3-wheel-free
 graphs with degree bound 2.  Peeling witnesses off and re-coloring on
-the way back yields a proper coloring with at most 4 (resp. 3) colors.
+the way back yields a proper coloring with at most 4 colors.
 """
 
 from __future__ import annotations
@@ -13,16 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .connectivity import _ends, end_block, vertex_connectivity
+from .connectivity import _end_block, _ends, vertex_connectivity
 from .errors import (
     BudgetExceededError,
     CertificateError,
     GraphError,
     TheoremViolationError,
 )
-from .generators import complete_bipartite
 from .graph import Graph, bits, induced_subgraph
-from .isomorphism import canonical_code
 from .oracles import brute_chromatic_number
 from .wheels import (
     Wheel,
@@ -190,24 +188,19 @@ def color4(g: Graph) -> ColoringResult:
     partner's color.  Any subgraph of a 4-wheel-free graph is
     4-wheel-free, so on such inputs the reduction never gets stuck.
     """
-    return _color_by_reduction(g, k=4)
-
-
-def _color_by_reduction(g: Graph, k: int) -> ColoringResult:
     n = g.n
     adj = g.masks
-    bound = k - 1
     live = (1 << n) - 1
     trace = ReductionTrace()
     while live:
-        witness = _reduction_step(adj, live, bound)
+        witness = _reduction_step(adj, live, 3)
         if witness is None:
             sub_ids = list(bits(live))
             sub, idmap = induced_subgraph(g, sub_ids)
-            wheel = find_k_wheel(sub, k)
+            wheel = find_k_wheel(sub, 4)
             if wheel is None:
                 raise TheoremViolationError(
-                    f"no witness and no {k}-wheel in an irreducible graph", graph=g
+                    "no witness and no 4-wheel in an irreducible graph", graph=g
                 )
             back = {new: old for old, new in idmap.items()}
             rim = normalize_cycle([back[w] for w in wheel.rim])
@@ -228,7 +221,7 @@ def _color_by_reduction(g: Graph, k: int) -> ColoringResult:
             colors[step.removed] = c
         else:
             colors[step.removed] = colors[w.v]
-    return ColoringResult(coloring=Coloring(colors=tuple(colors), palette=k), trace=trace)
+    return ColoringResult(coloring=Coloring(colors=tuple(colors), palette=4), trace=trace)
 
 
 # -------------------------------------------------------------------------
@@ -278,8 +271,6 @@ def _witness_statement(statement: str, g: Graph, k: int) -> VerifyResult:
 
 def _check_degree_bound(g: Graph) -> VerifyResult:
     """4-wheel-free graphs have a vertex of degree at most 4."""
-    if g.n == 0:
-        return VerifyResult("thm-1.2", VerifyStatus.NOT_APPLICABLE, detail="empty graph")
     if g.min_degree() <= 4:
         return VerifyResult("thm-1.2", VerifyStatus.PASS, detail="min degree <= 4")
     wheel = find_k_wheel(g, 4)
@@ -317,16 +308,21 @@ def _check_coloring(g: Graph) -> VerifyResult:
                         detail=f"colored with {result.coloring.colors_used}, oracle chi = {chi}")
 
 
-_K44_CODE = canonical_code(complete_bipartite(4))
-
-
 def _is_k44(g: Graph) -> bool:
-    return g.n == 8 and g.m == 16 and canonical_code(g) == _K44_CODE
+    """K_{4,4} by definition: the part P of vertex 0 (0 and its non-neighbours)
+    has 4 vertices, and each vertex is adjacent to exactly the other part."""
+    if g.n != 8:
+        return False
+    adj = g.masks
+    part = 0xFF & ~adj[0]
+    return part.bit_count() == 4 and all(
+        adj[v] == (0xFF & ~part if (part >> v) & 1 else part) for v in range(8)
+    )
 
 
 def _check_four_connected(g: Graph) -> VerifyResult:
     """A 4-connected, almost-4-wheel-free graph is K_{4,4}."""
-    if g.n < 1 or vertex_connectivity(g) < 4:
+    if vertex_connectivity(g) < 4:
         return VerifyResult("thm-4.4", VerifyStatus.NOT_APPLICABLE, detail="not 4-connected")
     almost, centers = _almost_4_wheel_free_check(g)
     if not almost:
@@ -340,7 +336,7 @@ def _check_four_connected(g: Graph) -> VerifyResult:
 
 def _check_ends_of_3_connected(g: Graph) -> VerifyResult:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
-    if g.n < 1 or vertex_connectivity(g) != 3:
+    if vertex_connectivity(g) != 3:
         return VerifyResult("thm-4.5", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
     if g.is_complete():
         return VerifyResult("thm-4.5", VerifyStatus.PASS, detail="no ends (complete graph)")
@@ -356,7 +352,7 @@ def _check_ends_of_3_connected(g: Graph) -> VerifyResult:
 
 def _check_two_degree_three(g: Graph) -> VerifyResult:
     """4-wheel-free graphs of connectivity 3 have two vertices of degree 3."""
-    if g.n < 1 or vertex_connectivity(g) != 3:
+    if vertex_connectivity(g) != 3:
         return VerifyResult("cor-4.6", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
     count = sum(1 for v in g.vertices() if g.degree(v) == 3)
     if count >= 2:
@@ -372,7 +368,7 @@ def _check_two_degree_three(g: Graph) -> VerifyResult:
 def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
     """4-wheel-free, connectivity 2: every end has a vertex of degree <= 3
     in the ambient graph, or its end block is K_{4,4}."""
-    if g.n < 1 or vertex_connectivity(g) != 2:
+    if vertex_connectivity(g) != 2:
         return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 2")
     wheel = find_k_wheel(g, 4)
     if wheel is not None:
@@ -387,7 +383,7 @@ def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
         if any(g.degree(v) <= 3 for v in f):
             counters["low-degree-branch"] += 1
             continue
-        block = end_block(g, f)
+        block = _end_block(g, g.vertex_mask(f))
         if _is_k44(block.graph):
             counters["k44-block-branch"] += 1
             continue
@@ -400,7 +396,7 @@ def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
 
 def _check_five_connected_centers(g: Graph) -> VerifyResult:
     """5-connected graphs: every vertex is a 4-wheel center."""
-    if g.n < 1 or vertex_connectivity(g) < 5:
+    if vertex_connectivity(g) < 5:
         return VerifyResult("lemma-4.2", VerifyStatus.NOT_APPLICABLE, detail="not 5-connected")
     missing = [v for v in g.vertices() if is_wheel_center(g, v, 4) is None]
     if missing:
@@ -411,7 +407,7 @@ def _check_five_connected_centers(g: Graph) -> VerifyResult:
 
 def _check_triangle_centers(g: Graph) -> VerifyResult:
     """4-connected graphs: every vertex on a triangle is a 4-wheel center."""
-    if g.n < 1 or vertex_connectivity(g) < 4:
+    if vertex_connectivity(g) < 4:
         return VerifyResult("lemma-4.3", VerifyStatus.NOT_APPLICABLE, detail="not 4-connected")
     adj = g.masks
     in_triangle = [v for v in g.vertices()
@@ -449,12 +445,14 @@ def verify_statement(g: Graph, statement: str) -> VerifyResult:
 
     Returns pass, not-applicable (preconditions unmet, with evidence),
     budget-exceeded, or a counterexample report that would constitute a
-    disproof.
+    disproof.  The empty graph is not-applicable for every statement.
     """
     try:
         _, checker = STATEMENTS[statement]
     except KeyError:
         raise GraphError(f"unknown statement {statement!r}; known: {sorted(STATEMENTS)}") from None
+    if g.n == 0:
+        return VerifyResult(statement, VerifyStatus.NOT_APPLICABLE, detail="empty graph")
     try:
         return checker(g)
     except BudgetExceededError as exc:

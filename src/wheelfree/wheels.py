@@ -196,6 +196,8 @@ def find_k_wheel(g: Graph, k: int) -> Wheel | None:
     High-degree vertices are tried first, which finds witnesses quickly
     in dense graphs without affecting exactness.
     """
+    if k < 3:
+        raise GraphError("wheels need at least 3 spokes")
     order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
     for v in order:
         w = is_wheel_center(g, v, k)

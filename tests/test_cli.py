@@ -54,6 +54,25 @@ def test_gen_bad_params(capsys):
     assert run(capsys, "gen", "cycle", "x") == (
         EXIT_USAGE, "", "error: generator 'cycle' needs an integer parameter\n")
     assert run(capsys, "gen", "cycle", "2") == (EXIT_USAGE, "", "error: cycle(n) requires n >= 3\n")
+    # a surplus parameter is refused, not dropped
+    assert run(capsys, "gen", "complete", "4", "9") == (
+        EXIT_USAGE, "", "error: generator 'complete' takes 1 parameter, got 2\n")
+    assert run(capsys, "gen", "petersen", "3") == (
+        EXIT_USAGE, "", "error: generator 'petersen' takes 0 parameters, got 1\n")
+
+
+def test_empty_graph_rules(capsys, tmp_path):
+    f = tmp_path / "empty.g6"
+    f.write_text("?\n")
+    for statement in STATEMENTS:
+        code, out, _ = run(capsys, "verify", statement, "--pool", f"file:{f}")
+        assert code == EXIT_OK, statement
+        assert "summary: graphs=1 pass=0 not-applicable=1 counterexamples=0" in out, statement
+    # k < 3 is refused even when there is no vertex to search
+    for g in (Graph(0), complete(5)):
+        f.write_text(to_graph6(g) + "\n")
+        assert run(capsys, "wheel", str(f), "--k", "2") == (
+            EXIT_USAGE, "", "error: wheels need at least 3 spokes\n")
 
 
 def test_color4_k4(capsys, tmp_path):

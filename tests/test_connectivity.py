@@ -26,6 +26,7 @@ from wheelfree import (
     petersen,
     relabel,
     star,
+    TheoremViolationError,
     vertex_connectivity,
 )
 
@@ -473,6 +474,17 @@ def test_end_block_rejects_non_end():
 def test_end_block_verify_mode():
     # non-trivial end of a kappa=1 graph: block must be 2-connected
     g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])  # triangle with a pendant
-    block = end_block(g, [1, 2], verify=True)
+    block = end_block(g, [1, 2])
     assert vertex_connectivity(block.graph) >= vertex_connectivity(g) + 1
     block.validate(g)
+
+
+def test_end_block_asserts_block_connectivity(monkeypatch):
+    import wheelfree.connectivity
+
+    # a block reported no more connected than its graph is a theorem violation
+    g = Graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    monkeypatch.setattr(wheelfree.connectivity, "vertex_connectivity", lambda h: 1)
+    with pytest.raises(TheoremViolationError, match="not more connected"):
+        end_block(g, [1, 2])
+    assert end_block(g, [3]).graph == complete(2)  # trivial ends are not asserted

@@ -19,8 +19,10 @@ from wheelfree import (
     reduction_witness,
     tight_example,
     verify_statement,
+    vertex_connectivity,
 )
 from wheelfree.oracles import brute_chromatic_number, brute_has_k_wheel
+from wheelfree.structure import STATEMENTS
 
 
 # -- twins --------------------------------------------------------------------
@@ -181,13 +183,20 @@ def test_verify_thm44_k44_passes():
     assert r.status is VerifyStatus.PASS
 
 
-def test_is_k44_by_cached_code():
+def test_is_k44_by_definition():
     from wheelfree import circulant, relabel
     from wheelfree.structure import _is_k44
 
     assert _is_k44(relabel(complete_bipartite(4), [3, 5, 0, 7, 1, 2, 6, 4]))
+    assert _is_k44(circulant(8, (1, 3)))  # odd offsets: parts are the parities
     assert not _is_k44(circulant(8, (1, 2)))  # also 8 vertices and 16 edges
     assert not _is_k44(complete_bipartite(3, 5))
+    # the complement of the cube Q_3: 16 edges, 4-regular, has triangles
+    assert not _is_k44(Graph(8, [(a, b) for a in range(8) for b in range(a + 1, 8)
+                                 if (a ^ b).bit_count() >= 2]))
+    moved = [(a, b) for a in range(4) for b in range(4, 8) if (a, b) != (0, 4)]
+    assert not _is_k44(Graph(8, moved + [(0, 1)]))
+    assert not _is_k44(Graph(8))
 
 
 def test_verify_thm44_not_applicable():
@@ -222,6 +231,13 @@ def test_verify_thm45_k4_vacuous():
     assert r.status is VerifyStatus.PASS
 
 
+def k44_subdivided() -> Graph:
+    """K_{4,4} with the edge 0-4 subdivided by vertex 8: the end
+    {1,2,3,5,6,7} has only degree-4 vertices and its end block is K_{4,4}."""
+    return Graph(9, [(a, b) for a in range(4) for b in range(4, 8) if (a, b) != (0, 4)]
+                 + [(0, 8), (8, 4)])
+
+
 def test_verify_thm47_counts_branches():
     from wheelfree import ends
 
@@ -230,13 +246,34 @@ def test_verify_thm47_counts_branches():
     assert r.status is VerifyStatus.PASS
     assert r.counters["low-degree-branch"] == len(ends(g))
     assert r.counters["k44-block-branch"] == 0
-    # K_{4,4} with the edge 0-4 subdivided by vertex 8: the end {1,2,3,5,6,7}
-    # has only degree-4 vertices and its end block is K_{4,4}
-    g = Graph(9, [(a, b) for a in range(4) for b in range(4, 8) if (a, b) != (0, 4)]
-              + [(0, 8), (8, 4)])
+    g = k44_subdivided()
     r = verify_statement(g, "thm-4.7")
     assert r.status is VerifyStatus.PASS
     assert r.counters == {"low-degree-branch": 1, "k44-block-branch": 1}
+
+
+def test_verify_thm47_computes_kappa_once(monkeypatch):
+    import wheelfree.connectivity
+    import wheelfree.structure
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return vertex_connectivity(g)
+
+    monkeypatch.setattr(wheelfree.connectivity, "vertex_connectivity", counted)
+    monkeypatch.setattr(wheelfree.structure, "vertex_connectivity", counted)
+    g = k44_subdivided()
+    r = verify_statement(g, "thm-4.7")
+    assert r.counters == {"low-degree-branch": 1, "k44-block-branch": 1}
+    assert calls == [9]
+
+
+def test_verify_empty_graph_not_applicable():
+    for statement in STATEMENTS:
+        r = verify_statement(Graph(0), statement)
+        assert (r.status, r.detail) == (VerifyStatus.NOT_APPLICABLE, "empty graph"), statement
 
 
 def test_verify_budget_exceeded_status():

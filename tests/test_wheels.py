@@ -148,6 +148,13 @@ def test_k_wheel_free():
     w.validate(complete(5), 4)
 
 
+def test_find_k_wheel_rejects_small_k():
+    # refused on every graph, including those with no vertex to search
+    for g in (Graph(0), Graph(2), complete(5)):
+        with pytest.raises(GraphError, match="at least 3 spokes"):
+            find_k_wheel(g, 2)
+
+
 def test_almost_4_wheel_free():
     assert is_almost_4_wheel_free(complete_bipartite(4))  # W empty
     assert is_almost_4_wheel_free(complete(4))            # no wheels at all
