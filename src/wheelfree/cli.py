@@ -5,9 +5,10 @@ Every report goes through one frame, ``_report``: a ``report:`` and
 --timing only, a wall-time line, so default output is byte-stable for
 fixed inputs and flags.  The per-graph commands share ``_per_graph``
 inside that frame.  Exit codes: 0 ok, 1 counterexample found (a
-``verify`` counterexample or a ``conjecture`` candidate), 2 usage, parse
-or input error, printed as one ``error:`` line on stderr.  Parse
-warnings print as one ``warning:`` line each on stderr.
+``verify`` counterexample, a ``conjecture`` candidate or a theorem
+violation in a per-graph command), 2 usage, parse or input error,
+printed as one ``error:`` line on stderr.  Parse warnings print as one
+``warning:`` line each on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from collections import Counter
 from . import __version__
 from . import generators
 from .certificates import render, render_coloring, render_trace, render_verify_result, render_wm
-from .errors import BudgetExceededError, GraphError, ParseError, ParseWarning, ToolkitError
+from .errors import (BudgetExceededError, GraphError, NoFragmentsError, ParseError, ParseWarning,
+                     TheoremViolationError)
 from .formats import read_graphs, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
@@ -61,19 +63,26 @@ def _report(args, command: str, header: list[str], body) -> int:
 def _per_graph(args, command: str, report, count_key: str | None = None) -> int:
     """Shared driver of the per-graph commands: ``report(g, out)`` appends
     the lines for one graph; graphs for which it returns true are counted
-    in the summary as ``count_key=<m>`` when a key is given."""
+    in the summary as ``count_key=<m>`` when a key is given.  A
+    TheoremViolationError from ``report`` is that graph's
+    ``counterexample:`` line and makes the report a counterexample."""
     def body(out):
         graphs = read_graphs(_read_input(args.input), fmt=args.format)
         counted = 0
+        found = False
         for i, g in enumerate(graphs, start=1):
             out += ("", f"graph {i}: {to_graph6(g)}")
-            if report(g, out):
-                counted += 1
+            try:
+                if report(g, out):
+                    counted += 1
+            except TheoremViolationError as exc:
+                out.append(f"counterexample: {exc}")
+                found = True
         summary = f"summary: graphs={len(graphs)}"
         if count_key is not None:
             summary += f" {count_key}={counted}"
         out += ("", summary)
-        return False
+        return found
 
     return _report(args, command, [f"input: {args.input}"], body)
 
@@ -115,7 +124,7 @@ def cmd_ends(args) -> int:
     def report(g, out):
         try:
             end_list = ends(g)
-        except ToolkitError as exc:
+        except NoFragmentsError as exc:
             out.append(f"ends: none ({exc})")
             return
         out.append(f"ends: {len(end_list)}")
@@ -194,6 +203,11 @@ def cmd_gen(args) -> int:
         params = [int(args.params[i]) for i in range(arity)]
     except (IndexError, ValueError):
         raise GraphError(f"generator {args.name!r} needs an integer parameter") from None
+    # every generator has at least as many vertices as its parameter, and
+    # graph6 output stops at n = 62, so a larger parameter is refused unbuilt
+    if params and max(params) > 62:
+        raise GraphError(f"generator {args.name!r} parameter {max(params)} is above 62, "
+                         f"the graph6 vertex limit")
     print(to_graph6(make(*params)))
     return EXIT_OK
 

@@ -79,11 +79,12 @@ def to_graph6(g: Graph) -> str:
     if n > 62:
         raise ParseError(f"graph6 short form supports n <= 62, got {n}")
     out = [chr(n + 63)]
+    adj = g.masks
     val = 0
     nb = 0
     for j in range(1, n):
         for i in range(j):
-            val = (val << 1) | ((g.adjacency_mask(i) >> j) & 1)
+            val = (val << 1) | ((adj[i] >> j) & 1)
             nb += 1
             if nb == 6:
                 out.append(chr(val + 63))

@@ -127,9 +127,6 @@ class Graph:
         """Neighbors of v in ascending order."""
         return tuple(bits(self._adj[v]))
 
-    def adjacency_mask(self, v: int) -> int:
-        return self._adj[v]
-
     @property
     def masks(self) -> tuple[int, ...]:
         """The per-vertex adjacency masks (read-only)."""

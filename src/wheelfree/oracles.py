@@ -229,11 +229,9 @@ class GraphPool:
     """A deterministic, re-iterable stream of graphs described by a
     human-readable descriptor string."""
 
-    def __init__(self, descriptor: str, factory: Callable[[], Iterator[Graph]],
-                 size: int | None = None):
+    def __init__(self, descriptor: str, factory: Callable[[], Iterator[Graph]]):
         self.descriptor = descriptor
         self._factory = factory
-        self.size = size
 
     def __iter__(self) -> Iterator[Graph]:
         return self._factory()
@@ -285,8 +283,7 @@ def enumerate_graphs(n: int, *, min_degree: int | None = None,
             if accept(g):
                 yield g
 
-    size = total if suffix == "" else None
-    return GraphPool(f"exhaustive:n={n}{suffix}", factory, size=size)
+    return GraphPool(f"exhaustive:n={n}{suffix}", factory)
 
 
 _iso_classes_cache: dict[int, list[Graph]] = {}
@@ -400,7 +397,7 @@ def _curated_graphs(name: str) -> list[Graph]:
 
 def curated_pool(name: str) -> GraphPool:
     graphs = _curated_graphs(name)
-    return GraphPool(f"curated:{name}", lambda: iter(graphs), size=len(graphs))
+    return GraphPool(f"curated:{name}", lambda: iter(graphs))
 
 
 # pool kind -> (known keys besides the filters, known flags)

@@ -238,6 +238,10 @@ class VerifyStatus(Enum):
 
 @dataclass
 class VerifyResult:
+    """A checker's verdict with its statement id.  Checkers return
+    ``(status, detail[, certificates[, counters]])``, the fields after
+    ``statement``, and ``verify_statement`` attaches the id."""
+
     statement: str
     status: VerifyStatus
     detail: str = ""
@@ -249,63 +253,51 @@ class VerifyResult:
         return self.status is VerifyStatus.COUNTEREXAMPLE
 
 
-def _witness_statement(statement: str, g: Graph, k: int) -> VerifyResult:
-    try:
-        w = reduction_witness(g, k)
-    except TheoremViolationError:
-        return VerifyResult(
-            statement,
-            VerifyStatus.COUNTEREXAMPLE,
-            detail=f"{k}-wheel-free graph with min degree > {k - 1} and no twins",
-        )
+def _wheel_verdict(g: Graph) -> tuple | None:
+    """Not-applicable with a 4-wheel of g as evidence, or None when g is
+    4-wheel-free."""
+    wheel = find_k_wheel(g, 4)
+    if wheel is None:
+        return None
+    return VerifyStatus.NOT_APPLICABLE, "contains a 4-wheel", (wheel,)
+
+
+def _check_witness(g: Graph, k: int = 4) -> tuple:
+    """k-wheel-free graphs have a twin pair or a vertex of degree <= k-1."""
+    w = reduction_witness(g, k)
     if isinstance(w, LowDegree):
-        return VerifyResult(statement, VerifyStatus.PASS, detail=f"degree <= {w.bound} at {w.vertex}",
-                            counters={"low-degree": 1})
+        return VerifyStatus.PASS, f"degree <= {w.bound} at {w.vertex}", (), {"low-degree": 1}
     if isinstance(w, TwinPair):
-        return VerifyResult(statement, VerifyStatus.PASS, detail=f"twins ({w.u},{w.v})",
-                            counters={"twins": 1})
-    return VerifyResult(statement, VerifyStatus.NOT_APPLICABLE,
-                        detail=f"contains a {k}-wheel", certificates=(w.wheel,),
-                        counters={"has-wheel": 1})
+        return VerifyStatus.PASS, f"twins ({w.u},{w.v})", (), {"twins": 1}
+    return VerifyStatus.NOT_APPLICABLE, f"contains a {k}-wheel", (w.wheel,), {"has-wheel": 1}
 
 
-def _check_degree_bound(g: Graph) -> VerifyResult:
+def _check_degree_bound(g: Graph) -> tuple:
     """4-wheel-free graphs have a vertex of degree at most 4."""
     if g.min_degree() <= 4:
-        return VerifyResult("thm-1.2", VerifyStatus.PASS, detail="min degree <= 4")
-    wheel = find_k_wheel(g, 4)
-    if wheel is not None:
-        return VerifyResult("thm-1.2", VerifyStatus.NOT_APPLICABLE,
-                            detail="contains a 4-wheel", certificates=(wheel,))
-    return VerifyResult("thm-1.2", VerifyStatus.COUNTEREXAMPLE,
-                        detail="4-wheel-free with min degree > 4")
+        return VerifyStatus.PASS, "min degree <= 4"
+    return _wheel_verdict(g) or (VerifyStatus.COUNTEREXAMPLE, "4-wheel-free with min degree > 4")
 
 
-def _check_coloring(g: Graph) -> VerifyResult:
+def _check_coloring(g: Graph) -> tuple:
     """4-wheel-free graphs are 4-colorable, constructively and by oracle."""
-    wheel = find_k_wheel(g, 4)
-    if wheel is not None:
-        return VerifyResult("cor-1.5", VerifyStatus.NOT_APPLICABLE,
-                            detail="contains a 4-wheel", certificates=(wheel,))
+    verdict = _wheel_verdict(g)
+    if verdict is not None:
+        return verdict
     result = color4(g)
     if not result.succeeded:
-        return VerifyResult("cor-1.5", VerifyStatus.COUNTEREXAMPLE,
-                            detail="reduction got stuck on a 4-wheel-free graph",
-                            certificates=(result.stuck.wheel,))
+        return (VerifyStatus.COUNTEREXAMPLE, "reduction got stuck on a 4-wheel-free graph",
+                (result.stuck.wheel,))
     try:
         result.coloring.validate(g)
     except CertificateError as exc:
-        return VerifyResult("cor-1.5", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"improper coloring: {exc}")
+        return VerifyStatus.COUNTEREXAMPLE, f"improper coloring: {exc}"
     if result.coloring.colors_used > 4:
-        return VerifyResult("cor-1.5", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"{result.coloring.colors_used} colors used")
+        return VerifyStatus.COUNTEREXAMPLE, f"{result.coloring.colors_used} colors used"
     chi = brute_chromatic_number(g)
     if chi > 4:
-        return VerifyResult("cor-1.5", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"oracle chromatic number {chi} > 4")
-    return VerifyResult("cor-1.5", VerifyStatus.PASS,
-                        detail=f"colored with {result.coloring.colors_used}, oracle chi = {chi}")
+        return VerifyStatus.COUNTEREXAMPLE, f"oracle chromatic number {chi} > 4"
+    return VerifyStatus.PASS, f"colored with {result.coloring.colors_used}, oracle chi = {chi}"
 
 
 def _is_k44(g: Graph) -> bool:
@@ -320,64 +312,56 @@ def _is_k44(g: Graph) -> bool:
     )
 
 
-def _check_four_connected(g: Graph) -> VerifyResult:
+def _check_four_connected(g: Graph) -> tuple:
     """A 4-connected, almost-4-wheel-free graph is K_{4,4}."""
     if vertex_connectivity(g) < 4:
-        return VerifyResult("thm-4.4", VerifyStatus.NOT_APPLICABLE, detail="not 4-connected")
+        return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     almost, centers = _almost_4_wheel_free_check(g)
     if not almost:
-        return VerifyResult("thm-4.4", VerifyStatus.NOT_APPLICABLE,
-                            detail=f"not almost 4-wheel-free ({len(centers)}+ centers)")
+        return VerifyStatus.NOT_APPLICABLE, f"not almost 4-wheel-free ({len(centers)}+ centers)"
     if _is_k44(g):
-        return VerifyResult("thm-4.4", VerifyStatus.PASS, detail="isomorphic to K_{4,4}")
-    return VerifyResult("thm-4.4", VerifyStatus.COUNTEREXAMPLE,
-                        detail=f"almost 4-wheel-free, 4-connected, centers {centers}, not K_{{4,4}}")
+        return VerifyStatus.PASS, "isomorphic to K_{4,4}"
+    return (VerifyStatus.COUNTEREXAMPLE,
+            f"almost 4-wheel-free, 4-connected, centers {centers}, not K_{{4,4}}")
 
 
-def _check_ends_of_3_connected(g: Graph) -> VerifyResult:
+def _check_ends_of_3_connected(g: Graph) -> tuple:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
     if vertex_connectivity(g) != 3:
-        return VerifyResult("thm-4.5", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
+        return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     if g.is_complete():
-        return VerifyResult("thm-4.5", VerifyStatus.PASS, detail="no ends (complete graph)")
+        return VerifyStatus.PASS, "no ends (complete graph)"
     end_list = _ends(g, 3)
     for f in end_list:
         if len(f) == 1:
             continue
         if not any(is_wheel_center(g, v, 4) is not None for v in f):
-            return VerifyResult("thm-4.5", VerifyStatus.COUNTEREXAMPLE,
-                                detail=f"non-trivial end {f} with no 4-wheel center")
-    return VerifyResult("thm-4.5", VerifyStatus.PASS, detail=f"{len(end_list)} ends checked")
+            return VerifyStatus.COUNTEREXAMPLE, f"non-trivial end {f} with no 4-wheel center"
+    return VerifyStatus.PASS, f"{len(end_list)} ends checked"
 
 
-def _check_two_degree_three(g: Graph) -> VerifyResult:
+def _check_two_degree_three(g: Graph) -> tuple:
     """4-wheel-free graphs of connectivity 3 have two vertices of degree 3."""
     if vertex_connectivity(g) != 3:
-        return VerifyResult("cor-4.6", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 3")
+        return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     count = sum(1 for v in g.vertices() if g.degree(v) == 3)
     if count >= 2:
-        return VerifyResult("cor-4.6", VerifyStatus.PASS, detail=f"{count} vertices of degree 3")
-    wheel = find_k_wheel(g, 4)
-    if wheel is not None:
-        return VerifyResult("cor-4.6", VerifyStatus.NOT_APPLICABLE,
-                            detail="contains a 4-wheel", certificates=(wheel,))
-    return VerifyResult("cor-4.6", VerifyStatus.COUNTEREXAMPLE,
-                        detail=f"4-wheel-free, kappa 3, only {count} vertices of degree 3")
+        return VerifyStatus.PASS, f"{count} vertices of degree 3"
+    return _wheel_verdict(g) or (
+        VerifyStatus.COUNTEREXAMPLE, f"4-wheel-free, kappa 3, only {count} vertices of degree 3")
 
 
-def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
+def _check_ends_of_2_connected(g: Graph) -> tuple:
     """4-wheel-free, connectivity 2: every end has a vertex of degree <= 3
     in the ambient graph, or its end block is K_{4,4}."""
     if vertex_connectivity(g) != 2:
-        return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE, detail="connectivity != 2")
-    wheel = find_k_wheel(g, 4)
-    if wheel is not None:
-        return VerifyResult("thm-4.7", VerifyStatus.NOT_APPLICABLE,
-                            detail="contains a 4-wheel", certificates=(wheel,))
+        return VerifyStatus.NOT_APPLICABLE, "connectivity != 2"
+    verdict = _wheel_verdict(g)
+    if verdict is not None:
+        return verdict
     counters = {"low-degree-branch": 0, "k44-block-branch": 0}
     if g.is_complete():
-        return VerifyResult("thm-4.7", VerifyStatus.PASS, detail="no ends (complete graph)",
-                            counters=counters)
+        return VerifyStatus.PASS, "no ends (complete graph)", (), counters
     end_list = _ends(g, 2)
     for f in end_list:
         if any(g.degree(v) <= 3 for v in f):
@@ -387,47 +371,41 @@ def _check_ends_of_2_connected(g: Graph) -> VerifyResult:
         if _is_k44(block.graph):
             counters["k44-block-branch"] += 1
             continue
-        return VerifyResult("thm-4.7", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"end {f}: no low-degree vertex and block is not K_{{4,4}}",
-                            counters=counters)
-    return VerifyResult("thm-4.7", VerifyStatus.PASS,
-                        detail=f"{len(end_list)} ends checked", counters=counters)
+        return (VerifyStatus.COUNTEREXAMPLE,
+                f"end {f}: no low-degree vertex and block is not K_{{4,4}}", (), counters)
+    return VerifyStatus.PASS, f"{len(end_list)} ends checked", (), counters
 
 
-def _check_five_connected_centers(g: Graph) -> VerifyResult:
+def _check_five_connected_centers(g: Graph) -> tuple:
     """5-connected graphs: every vertex is a 4-wheel center."""
     if vertex_connectivity(g) < 5:
-        return VerifyResult("lemma-4.2", VerifyStatus.NOT_APPLICABLE, detail="not 5-connected")
+        return VerifyStatus.NOT_APPLICABLE, "not 5-connected"
     missing = [v for v in g.vertices() if is_wheel_center(g, v, 4) is None]
     if missing:
-        return VerifyResult("lemma-4.2", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"vertices {missing} are not 4-wheel centers")
-    return VerifyResult("lemma-4.2", VerifyStatus.PASS, detail="all vertices are centers")
+        return VerifyStatus.COUNTEREXAMPLE, f"vertices {missing} are not 4-wheel centers"
+    return VerifyStatus.PASS, "all vertices are centers"
 
 
-def _check_triangle_centers(g: Graph) -> VerifyResult:
+def _check_triangle_centers(g: Graph) -> tuple:
     """4-connected graphs: every vertex on a triangle is a 4-wheel center."""
     if vertex_connectivity(g) < 4:
-        return VerifyResult("lemma-4.3", VerifyStatus.NOT_APPLICABLE, detail="not 4-connected")
+        return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     adj = g.masks
     in_triangle = [v for v in g.vertices()
                    if any(adj[u] & adj[v] & ~((1 << u) | (1 << v)) for u in bits(adj[v]))]
     if not in_triangle:
-        return VerifyResult("lemma-4.3", VerifyStatus.PASS, detail="triangle-free (vacuous)")
+        return VerifyStatus.PASS, "triangle-free (vacuous)"
     missing = [v for v in in_triangle if is_wheel_center(g, v, 4) is None]
     if missing:
-        return VerifyResult("lemma-4.3", VerifyStatus.COUNTEREXAMPLE,
-                            detail=f"triangle vertices {missing} are not centers")
-    return VerifyResult("lemma-4.3", VerifyStatus.PASS,
-                        detail=f"{len(in_triangle)} triangle vertices are all centers")
+        return VerifyStatus.COUNTEREXAMPLE, f"triangle vertices {missing} are not centers"
+    return VerifyStatus.PASS, f"{len(in_triangle)} triangle vertices are all centers"
 
 
 STATEMENTS = {
-    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3",
-                lambda g: _witness_statement("thm-4.8", g, 4)),
-    "thm-1.4": ("alias of thm-4.8", lambda g: _witness_statement("thm-1.4", g, 4)),
+    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3", _check_witness),
+    "thm-1.4": ("alias of thm-4.8", _check_witness),
     "thm-1.1": ("3-wheel-free: twin pair or a vertex of degree <= 2",
-                lambda g: _witness_statement("thm-1.1", g, 3)),
+                lambda g: _check_witness(g, 3)),
     "thm-1.2": ("4-wheel-free: some vertex has degree <= 4", _check_degree_bound),
     "cor-1.5": ("4-wheel-free graphs are 4-colorable", _check_coloring),
     "thm-4.4": ("4-connected almost-4-wheel-free graphs are K_{4,4}", _check_four_connected),
@@ -446,16 +424,20 @@ def verify_statement(g: Graph, statement: str) -> VerifyResult:
     Returns pass, not-applicable (preconditions unmet, with evidence),
     budget-exceeded, or a counterexample report that would constitute a
     disproof.  The empty graph is not-applicable for every statement.
+    This is where every verdict gets its id and where a
+    TheoremViolationError raised by a checker becomes a counterexample.
     """
     try:
         _, checker = STATEMENTS[statement]
     except KeyError:
         raise GraphError(f"unknown statement {statement!r}; known: {sorted(STATEMENTS)}") from None
     if g.n == 0:
-        return VerifyResult(statement, VerifyStatus.NOT_APPLICABLE, detail="empty graph")
-    try:
-        return checker(g)
-    except BudgetExceededError as exc:
-        return VerifyResult(statement, VerifyStatus.BUDGET_EXCEEDED, detail=str(exc))
-    except TheoremViolationError as exc:
-        return VerifyResult(statement, VerifyStatus.COUNTEREXAMPLE, detail=str(exc))
+        verdict = VerifyStatus.NOT_APPLICABLE, "empty graph"
+    else:
+        try:
+            verdict = checker(g)
+        except BudgetExceededError as exc:
+            verdict = VerifyStatus.BUDGET_EXCEEDED, str(exc)
+        except TheoremViolationError as exc:
+            verdict = VerifyStatus.COUNTEREXAMPLE, str(exc)
+    return VerifyResult(statement, *verdict)

@@ -187,6 +187,8 @@ def is_wheel_center(g: Graph, v: int, k: int) -> Wheel | None:
 
 def wheel_centers(g: Graph, k: int = 4) -> tuple[int, ...]:
     """All vertices that are the center of some k-wheel."""
+    if k < 3:
+        raise GraphError("wheels need at least 3 spokes")
     return tuple(v for v in g.vertices() if is_wheel_center(g, v, k) is not None)
 
 

@@ -1,10 +1,11 @@
 """CLI behavior: formats, exit codes, report shapes."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wheelfree import Graph, complete, complete_bipartite, cycle, petersen, to_graph6
 from wheelfree.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
-from wheelfree.structure import STATEMENTS, VerifyResult, VerifyStatus
+from wheelfree.structure import STATEMENTS, VerifyStatus
 
 
 def run(capsys, *argv):
@@ -59,6 +60,24 @@ def test_gen_bad_params(capsys):
         EXIT_USAGE, "", "error: generator 'complete' takes 1 parameter, got 2\n")
     assert run(capsys, "gen", "petersen", "3") == (
         EXIT_USAGE, "", "error: generator 'petersen' takes 0 parameters, got 1\n")
+
+
+def test_gen_refuses_parameters_above_62_unbuilt(capsys, monkeypatch):
+    from wheelfree import cli
+
+    calls = []
+
+    def recording(n):
+        calls.append(n)
+        return Graph(1)
+
+    monkeypatch.setitem(cli._GENERATORS, "complete", (recording, 1))
+    assert run(capsys, "gen", "complete", "63") == (
+        EXIT_USAGE, "", "error: generator 'complete' parameter 63 is above 62, "
+                        "the graph6 vertex limit\n")
+    assert calls == []
+    assert run(capsys, "gen", "complete", "62") == (EXIT_OK, "@\n", "")
+    assert calls == [62]
 
 
 def test_empty_graph_rules(capsys, tmp_path):
@@ -181,7 +200,7 @@ def test_verify_counterexample_exit_and_file(capsys, tmp_path, monkeypatch):
     """Wire-level check of the counterexample path using an injected statement."""
 
     def always_fails(g):
-        return VerifyResult("test-fail", VerifyStatus.COUNTEREXAMPLE, detail="synthetic")
+        return VerifyStatus.COUNTEREXAMPLE, "synthetic"
 
     monkeypatch.setitem(STATEMENTS, "test-fail", ("synthetic failure", always_fails))
     out_file = tmp_path / "ce.txt"
@@ -192,6 +211,32 @@ def test_verify_counterexample_exit_and_file(capsys, tmp_path, monkeypatch):
     assert "status: counterexample" in out
     assert out_file.exists()
     assert "graph6:" in out_file.read_text()
+
+
+@pytest.mark.parametrize("command, target, extra", [
+    ("color4", "color4", ()),
+    ("wheel", "find_k_wheel", ()),
+    ("kappa", "vertex_connectivity", ()),
+    ("ends", "ends", ()),
+    ("wm-cert", "wm_certificate", ("--x", "0", "--targets", "1,2,3,4")),
+])
+def test_per_graph_theorem_violation_is_a_counterexample(capsys, tmp_path, monkeypatch,
+                                                         command, target, extra):
+    """A TheoremViolationError inside a per-graph command is that graph's
+    counterexample line and exit 1: neither a traceback nor a clean report."""
+    from wheelfree import cli
+    from wheelfree.errors import TheoremViolationError
+
+    def violated(g, *_):
+        raise TheoremViolationError(f"{target} failed on purpose", graph=g)
+
+    monkeypatch.setattr(cli, target, violated)
+    f = tmp_path / "k5.g6"
+    f.write_text(to_graph6(complete(5)) + "\n")
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+    assert f"graph 1: D~{{\ncounterexample: {target} failed on purpose\n\nsummary: graphs=1" in out
+    assert out.endswith("\nstatus: counterexample\n")
 
 
 def test_verify_real_counterexample(capsys, tmp_path):

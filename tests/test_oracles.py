@@ -91,7 +91,6 @@ def test_brute_connectivity(g, kappa):
 def test_enumeration_counts_labeled():
     assert sum(1 for _ in enumerate_graphs(3)) == 8
     assert sum(1 for _ in enumerate_graphs(4)) == 64
-    assert enumerate_graphs(7).size == 2_097_152
 
 
 def test_enumeration_counts_isomorphism_classes():

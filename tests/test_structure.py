@@ -270,6 +270,25 @@ def test_verify_thm47_computes_kappa_once(monkeypatch):
     assert calls == [9]
 
 
+def test_verify_labels_every_result_with_its_id():
+    for g in (complete(4), cycle(5), complete_bipartite(4), petersen(), Graph(0)):
+        for statement in STATEMENTS:
+            assert verify_statement(g, statement).statement == statement
+
+
+def test_verify_witness_violation_detail_is_the_message(monkeypatch):
+    import wheelfree.structure
+    from wheelfree import TheoremViolationError
+
+    def violated(g, k):
+        raise TheoremViolationError(f"no {k}-witness on purpose", graph=g)
+
+    monkeypatch.setattr(wheelfree.structure, "reduction_witness", violated)
+    for statement, k in (("thm-4.8", 4), ("thm-1.1", 3)):
+        r = verify_statement(petersen(), statement)
+        assert (r.status, r.detail) == (VerifyStatus.COUNTEREXAMPLE, f"no {k}-witness on purpose")
+
+
 def test_verify_empty_graph_not_applicable():
     for statement in STATEMENTS:
         r = verify_statement(Graph(0), statement)

@@ -155,6 +155,12 @@ def test_find_k_wheel_rejects_small_k():
             find_k_wheel(g, 2)
 
 
+def test_wheel_centers_rejects_small_k():
+    for g in (Graph(0), Graph(3)):
+        with pytest.raises(GraphError, match="at least 3 spokes"):
+            wheel_centers(g, 2)
+
+
 def test_almost_4_wheel_free():
     assert is_almost_4_wheel_free(complete_bipartite(4))  # W empty
     assert is_almost_4_wheel_free(complete(4))            # no wheels at all
