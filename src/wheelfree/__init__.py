@@ -43,7 +43,6 @@ from .connectivity import (
     ends,
     extend_fan,
     find_k_fan,
-    fragments,
     is_fragment,
     vertex_connectivity,
 )
@@ -78,6 +77,7 @@ from .structure import (
 from .oracles import (
     GraphPool,
     brute_chromatic_number,
+    brute_fragments,
     brute_has_k_wheel,
     brute_vertex_connectivity,
     curated_pool,
@@ -102,7 +102,7 @@ __all__ = [
     "petersen", "octahedron", "icosahedron", "tight_example",
     # connectivity
     "vertex_connectivity", "Fan", "find_k_fan", "extend_fan",
-    "is_fragment", "fragments", "ends", "EndBlock", "end_block",
+    "is_fragment", "ends", "EndBlock", "end_block",
     # wheels
     "Wheel", "WMCertificate", "find_cycle_through", "find_cycle_through_edge",
     "is_wheel_center", "wheel_centers", "find_k_wheel", "is_k_wheel_free",
@@ -113,6 +113,7 @@ __all__ = [
     "VerifyStatus", "VerifyResult", "verify_statement", "STATEMENTS",
     # oracles
     "brute_chromatic_number", "brute_has_k_wheel", "brute_vertex_connectivity",
+    "brute_fragments",
     "GraphPool", "enumerate_graphs", "random_pool", "curated_pool",
     "parse_pool_descriptor",
     # isomorphism

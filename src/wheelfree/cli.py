@@ -117,7 +117,8 @@ def cmd_wheel(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    return _per_graph(args, "kappa", lambda g, out: out.append(f"kappa: {vertex_connectivity(g)}"))
+    return _per_graph(args, "kappa", lambda g, out: out.append(
+        f"kappa: {vertex_connectivity(g) if g.n else 'none (empty graph)'}"))
 
 
 def cmd_ends(args) -> int:

@@ -6,27 +6,15 @@ flow, ``_fan_flow``: the connectivity between non-adjacent s and t is the
 largest fan from s into N(t), and an end is the closest minimum cut of
 such a flow (Picard & Queyranne, "On the structure of all minimum cuts
 in a network", Math. Prog. Study 1980), found in polynomial time at any
-size.  ``fragments`` alone scans all vertex subsets, for graphs with at
-most ``FRAGMENT_BUDGET`` vertices; it is the independent oracle for
-``ends``.
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    BudgetExceededError,
-    CertificateError,
-    GraphError,
-    NoFragmentsError,
-    TheoremViolationError,
-)
+from .errors import CertificateError, GraphError, NoFragmentsError, TheoremViolationError
 from .graph import Graph, VertexSet, bits, induced_subgraph, reach, set_neighbors
-
-# Largest vertex count whose 2^n subset scan ``fragments`` will run; larger
-# graphs raise BudgetExceededError.  Ends and end blocks have no budget.
-FRAGMENT_BUDGET = 20
 
 
 # -------------------------------------------------------------------------
@@ -298,22 +286,6 @@ def extend_fan(g: Graph, fan: Fan, k: int) -> Fan:
 # -------------------------------------------------------------------------
 
 
-def _fragment_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
-    full = (1 << n) - 1
-    out = []
-    for smask in range(1, full):
-        nb = 0
-        m = smask
-        while m:
-            b = m & -m
-            m ^= b
-            nb |= adj[b.bit_length() - 1]
-        nb &= ~smask
-        if nb.bit_count() == kappa and full & ~smask & ~nb:
-            out.append(smask)
-    return out
-
-
 def _end_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
     """Masks of all ends of a non-complete graph of connectivity ``kappa``.
 
@@ -362,23 +334,10 @@ def is_fragment(g: Graph, f: VertexSet) -> bool:
 
 
 def _require_fragments(g: Graph) -> None:
-    if g.n <= 1 or g.is_complete():
+    if g.n == 0:
+        raise NoFragmentsError("empty graph")
+    if g.n == 1 or g.is_complete():
         raise NoFragmentsError("complete graphs and the single vertex have no fragments")
-
-
-def fragments(g: Graph) -> list[tuple[int, ...]]:
-    """All fragments, sorted lexicographically, by a scan of every vertex
-    subset; the independent oracle for ``ends``.
-
-    Raises NoFragmentsError for complete graphs and the single vertex
-    (which have none), and BudgetExceededError instead of guessing when
-    the subset enumeration would be too large.
-    """
-    if g.n > FRAGMENT_BUDGET:
-        raise BudgetExceededError(f"fragment enumeration budget is n <= {FRAGMENT_BUDGET}, got {g.n}")
-    _require_fragments(g)
-    masks = _fragment_masks(g.masks, g.n, vertex_connectivity(g))
-    return sorted(tuple(bits(m)) for m in masks)
 
 
 def _ends(g: Graph, kappa: int) -> list[tuple[int, ...]]:
@@ -389,7 +348,8 @@ def _ends(g: Graph, kappa: int) -> list[tuple[int, ...]]:
 def ends(g: Graph) -> list[tuple[int, ...]]:
     """All ends (inclusion-minimal fragments), sorted lexicographically.
 
-    Raises NoFragmentsError for complete graphs and the single vertex.
+    Raises NoFragmentsError for complete graphs, the single vertex and
+    the empty graph.
     """
     _require_fragments(g)
     return _ends(g, vertex_connectivity(g))

@@ -38,7 +38,7 @@ class BudgetExceededError(ToolkitError):
 
 
 class NoFragmentsError(ToolkitError):
-    """The graph has no fragments at all (complete graph or single vertex)."""
+    """The graph has no fragments at all (complete, one vertex or empty)."""
 
 
 class TheoremViolationError(ToolkitError):

@@ -2,7 +2,8 @@
 
 The oracles here deliberately share no search code with the fast paths
 they cross-check: connectivity is settled by enumerating cutsets,
-wheels by enumerating all cycles, colorability by plain backtracking.
+fragments by a scan of every vertex subset, wheels by enumerating all
+cycles, colorability by plain backtracking.
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ from typing import Callable, Iterator
 
 from . import generators as gen
 from .connectivity import vertex_connectivity
-from .errors import BudgetExceededError, GraphError
+from .errors import BudgetExceededError, GraphError, NoFragmentsError
 from .formats import parse_graph6_lines, to_graph6
 from .graph import Graph, bits, reach
 from .isomorphism import canonical_code
 from .wheels import Wheel, find_k_wheel, normalize_cycle
 
 ORACLE_BUDGET = 12
+# the fragment scan visits each vertex subset once, so it runs further
+FRAGMENT_BUDGET = 20
 
 _subset_masks_cache: dict[tuple[int, int], list[int]] = {}
 
@@ -36,9 +39,9 @@ def _subset_masks(n: int, size: int) -> list[int]:
     return _subset_masks_cache[key]
 
 
-def _check_budget(g: Graph, what: str) -> None:
-    if g.n > ORACLE_BUDGET:
-        raise BudgetExceededError(f"{what} oracle budget is n <= {ORACLE_BUDGET}, got {g.n}")
+def _check_budget(g: Graph, what: str, budget: int = ORACLE_BUDGET) -> None:
+    if g.n > budget:
+        raise BudgetExceededError(f"{what} oracle budget is n <= {budget}, got {g.n}")
 
 
 # -------------------------------------------------------------------------
@@ -171,6 +174,40 @@ def brute_vertex_connectivity(g: Graph) -> int:
             if reach(adj, live & -live, live) != live:
                 return size
     return n - 1
+
+
+# -------------------------------------------------------------------------
+# fragments via a scan of every vertex subset
+# -------------------------------------------------------------------------
+
+
+def brute_fragments(g: Graph) -> list[tuple[int, ...]]:
+    """All fragments, sorted lexicographically: among the nonempty S that
+    leave some vertex outside S u N(S), those with the fewest neighbours.
+    That fewest is the connectivity, found in the same scan.
+
+    Raises NoFragmentsError when no S leaves a vertex outside (complete
+    graphs, the single vertex and the empty graph).
+    """
+    _check_budget(g, "fragment", FRAGMENT_BUDGET)
+    adj = g.masks
+    full = (1 << g.n) - 1
+    union = [0] * full  # union[S]: every neighbour of a vertex of S
+    kappa = g.n
+    found = []
+    for smask in range(1, full):
+        low = smask & -smask
+        union[smask] = union[smask ^ low] | adj[low.bit_length() - 1]
+        nb = union[smask] & ~smask
+        size = nb.bit_count()
+        if size <= kappa and full & ~smask & ~nb:
+            if size < kappa:
+                kappa = size
+                found = []
+            found.append(smask)
+    if not found:
+        raise NoFragmentsError("no vertex set leaves a vertex outside its closed neighbourhood")
+    return sorted(tuple(bits(m)) for m in found)
 
 
 # -------------------------------------------------------------------------

@@ -80,6 +80,19 @@ def test_gen_refuses_parameters_above_62_unbuilt(capsys, monkeypatch):
     assert calls == [62]
 
 
+# per-graph command -> its lines for the empty graph and K_4, and the
+# summary's count
+_EMPTY_THEN_K4 = {
+    "kappa": ("kappa: none (empty graph)", "kappa: 3", ""),
+    "ends": ("ends: none (empty graph)",
+             "ends: none (complete graphs and the single vertex have no fragments)", ""),
+    "color4": ("status: colored\ncolors-used: 0\ncertificate: coloring\npalette: 4\ncolors: ",
+               "status: colored\ncolors-used: 4\ncertificate: coloring\npalette: 4\n"
+               "colors: 3 2 1 0", ""),
+    "wheel": ("status: 4-wheel-free", "status: 4-wheel-free", " with-wheel=0"),
+}
+
+
 def test_empty_graph_rules(capsys, tmp_path):
     f = tmp_path / "empty.g6"
     f.write_text("?\n")
@@ -87,6 +100,13 @@ def test_empty_graph_rules(capsys, tmp_path):
         code, out, _ = run(capsys, "verify", statement, "--pool", f"file:{f}")
         assert code == EXIT_OK, statement
         assert "summary: graphs=1 pass=0 not-applicable=1 counterexamples=0" in out, statement
+    # every per-graph command reports it and goes on to the next graph
+    f.write_text("?\nC~\n")
+    for command, lines in _EMPTY_THEN_K4.items():
+        expected = (f"report: {command}\nversion: 0.1.0\ninput: {f}\n\n"
+                    f"graph 1: ?\n{lines[0]}\n\ngraph 2: C~\n{lines[1]}\n\n"
+                    f"summary: graphs=2{lines[2]}\nstatus: ok\n")
+        assert run(capsys, command, str(f)) == (EXIT_OK, expected, ""), command
     # k < 3 is refused even when there is no vertex to search
     for g in (Graph(0), complete(5)):
         f.write_text(to_graph6(g) + "\n")

@@ -10,6 +10,7 @@ from wheelfree import (
     Graph,
     GraphError,
     NoFragmentsError,
+    brute_fragments,
     circulant,
     complete,
     complete_bipartite,
@@ -19,7 +20,6 @@ from wheelfree import (
     enumerate_graphs,
     extend_fan,
     find_k_fan,
-    fragments,
     icosahedron,
     is_fragment,
     path,
@@ -324,7 +324,7 @@ def test_fan_paths_golden():
 
 def test_fragments_c5():
     # definition check over all 2^5 subsets: singletons and adjacent pairs
-    frs = fragments(cycle(5))
+    frs = brute_fragments(cycle(5))
     singletons = [(v,) for v in range(5)]
     adjacent_pairs = [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
     assert sorted(frs) == sorted(singletons + adjacent_pairs)
@@ -334,13 +334,15 @@ def test_fragments_c5():
 
 def test_fragments_complete_graph():
     with pytest.raises(NoFragmentsError):
-        fragments(complete(4))
+        brute_fragments(complete(4))
     with pytest.raises(NoFragmentsError):
-        fragments(Graph(1))
+        brute_fragments(Graph(1))
+    with pytest.raises(NoFragmentsError):
+        brute_fragments(Graph(0))
 
 
 def test_fragments_p3():
-    assert fragments(path(3)) == [(0,), (2,)]
+    assert brute_fragments(path(3)) == [(0,), (2,)]
     assert ends(path(3)) == [(0,), (2,)]
 
 
@@ -362,14 +364,15 @@ def test_ends_bowtie():
 
 def test_budget_exceeded_distinguished():
     # only the subset scan has a budget; ends come from minimum cuts
-    g = Graph(25)
-    with pytest.raises(BudgetExceededError):
-        fragments(g)
-    assert ends(g) == [(v,) for v in range(25)]
+    for n in (21, 25):
+        g = Graph(n)
+        with pytest.raises(BudgetExceededError):
+            brute_fragments(g)
+        assert ends(g) == [(v,) for v in range(n)]
 
 
 def _minimal_fragments(g: Graph) -> list[tuple[int, ...]]:
-    frs = [set(f) for f in fragments(g)]
+    frs = [set(f) for f in brute_fragments(g)]
     return sorted(tuple(sorted(f)) for f in frs if not any(h < f for h in frs))
 
 
@@ -403,6 +406,21 @@ def test_ends_match_fragment_scan_random():
                 kappas.add(vertex_connectivity(g))
                 assert ends(g) == _minimal_fragments(g), f"n={n} code={g.edge_code()}"
     assert {0, 1} <= kappas
+
+
+def test_fragment_scan_survives_a_wrong_fast_connectivity(monkeypatch):
+    # the scan finds kappa itself: a fast path that answers kappa - 1 for
+    # kappa >= 2 changes the ends, not the scan, and the cross-check sees it
+    graphs = (cycle(5), bowtie(), petersen())
+    kappas = [vertex_connectivity(g) for g in graphs]
+    scans = [brute_fragments(g) for g in graphs]
+    assert kappas == [2, 1, 3]
+    for module in ("connectivity", "oracles"):
+        monkeypatch.setattr(f"wheelfree.{module}.vertex_connectivity",
+                            lambda g: vertex_connectivity(g) - (vertex_connectivity(g) >= 2))
+    for g, kappa, scan in zip(graphs, kappas, scans):
+        assert brute_fragments(g) == scan
+        assert (ends(g) != _minimal_fragments(g)) == (kappa >= 2)
 
 
 def test_ends_relabelling_invariant():

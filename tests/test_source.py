@@ -21,3 +21,56 @@ def test_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = sorted(imported - used)
         assert not unused, f"{path.name} imports {unused} without using them"
+
+
+# names the brute oracles may take from the package: the graph core, the
+# wheel data types brute_has_k_wheel returns, and every error class
+ORACLE_IMPORTS = {"Graph", "bits", "reach", "Wheel", "normalize_cycle"}
+
+
+def oracle_leaks(source: str) -> set[str]:
+    """Package names outside ORACLE_IMPORTS and the errors module that a
+    top-level ``brute_*`` function of ``source`` uses, directly or through
+    the module-level functions, classes and assignments it references."""
+    tree = ast.parse(source)
+    package = {}  # local name -> the package module it was imported from
+    defs = {}  # top-level name -> its definition
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("wheelfree")):
+            for alias in node.names:
+                package[alias.asname or alias.name] = node.module or alias.name
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defs.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    todo = [name for name in defs if name.startswith("brute_")]
+    assert todo, "no brute_* oracle found"
+    seen, leaks = set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if not isinstance(node, ast.Name):
+                continue
+            if node.id in defs:
+                todo.append(node.id)
+            elif node.id in package and node.id not in ORACLE_IMPORTS \
+                    and package[node.id].rpartition(".")[2] != "errors":
+                leaks.add(node.id)
+    return leaks
+
+
+def test_oracles_share_nothing_with_the_fast_paths():
+    source = (Path(wheelfree.__file__).parent / "oracles.py").read_text()
+    assert oracle_leaks(source) == set()
+    # a connectivity oracle that asks the fast path is caught, and so is a
+    # fast path reached through a helper
+    for old, new, leak in (
+        ("    return n - 1\n", "    return vertex_connectivity(g)\n", "vertex_connectivity"),
+        ("    if g.n > budget:", "    if g.n > budget or find_k_wheel(g, 4):", "find_k_wheel"),
+    ):
+        assert old in source
+        assert oracle_leaks(source.replace(old, new)) == {leak}
