@@ -4,8 +4,11 @@ the structural statements about k-wheel-free graphs.
 The reduction fact driving everything: a 4-wheel-free graph always has a
 vertex of degree at most 3 or a pair of twins (non-adjacent vertices
 with equal neighborhoods), and the analogous statement for 3-wheel-free
-graphs with degree bound 2.  Peeling witnesses off and re-coloring on
-the way back yields a proper coloring with at most 4 colors.
+graphs with degree bound 2.  ``reduction_witness`` takes that step once
+on the whole graph; ``color4`` repeats the same step over a shrinking
+live set and re-colors on the way back, which yields a proper coloring
+with at most 4 colors.  When the step finds no witness, the 4-wheel it
+reports is searched in G[live] and is given in the input's own ids.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from .errors import (
     GraphError,
     TheoremViolationError,
 )
-from .graph import Graph, bits, induced_subgraph
+from .graph import Graph, bits
 from .oracles import brute_chromatic_number
 from .wheels import (
     Wheel,
     _almost_4_wheel_free_check,
     find_k_wheel,
     is_wheel_center,
-    normalize_cycle,
 )
 
 
@@ -98,18 +100,32 @@ def _twins(adj: tuple[int, ...], live: int) -> tuple[int, int] | None:
     return None
 
 
-def _reduction_step(adj: tuple[int, ...], live: int, bound: int) -> LowDegree | TwinPair | None:
-    """The first vertex of ``live`` with at most ``bound`` neighbors in
-    ``live``, else the first twin pair of G[live], else None."""
+def _witness(g: Graph, live: int, k: int) -> ReductionWitness:
+    """The reduction step on G[live]: the first vertex with at most k-1
+    neighbors in ``live``, else the first twin pair, else Stuck with a
+    k-wheel of G[live] in g's own ids, else TheoremViolationError.
+
+    The wheel search runs on g with the rows outside ``live`` emptied and
+    the rest masked to ``live``, so removed vertices cannot be on a wheel.
+    """
+    adj = g.masks
     m = live
     while m:
         b = m & -m
         m ^= b
         v = b.bit_length() - 1
-        if (adj[v] & live).bit_count() <= bound:
-            return LowDegree(vertex=v, bound=bound)
+        if (adj[v] & live).bit_count() < k:
+            return LowDegree(vertex=v, bound=k - 1)
     tw = _twins(adj, live)
-    return None if tw is None else TwinPair(u=tw[0], v=tw[1])
+    if tw is not None:
+        return TwinPair(u=tw[0], v=tw[1])
+    wheel = find_k_wheel(Graph._of(g.n, (row & live if live >> v & 1 else 0
+                                         for v, row in enumerate(adj))), k)
+    if wheel is not None:
+        return Stuck(wheel=wheel)
+    raise TheoremViolationError(
+        f"graph with min degree > {k - 1} and no twins contains no {k}-wheel", graph=g
+    )
 
 
 def find_twins(g: Graph) -> tuple[int, int] | None:
@@ -128,15 +144,7 @@ def reduction_witness(g: Graph, k: int = 4) -> ReductionWitness:
         raise GraphError("reduction modes are k=3 and k=4")
     if g.n < 1:
         raise GraphError("reduction needs at least one vertex")
-    witness = _reduction_step(g.masks, (1 << g.n) - 1, k - 1)
-    if witness is not None:
-        return witness
-    wheel = find_k_wheel(g, k)
-    if wheel is not None:
-        return Stuck(wheel=wheel)
-    raise TheoremViolationError(
-        f"graph with min degree > {k - 1} and no twins contains no {k}-wheel", graph=g
-    )
+    return _witness(g, (1 << g.n) - 1, k)
 
 
 # -------------------------------------------------------------------------
@@ -186,27 +194,17 @@ def color4(g: Graph) -> ColoringResult:
     Low-degree vertices are removed and later given the least color
     missing from their neighborhood; the removed twin copies its
     partner's color.  Any subgraph of a 4-wheel-free graph is
-    4-wheel-free, so on such inputs the reduction never gets stuck.
+    4-wheel-free, so on such inputs the reduction never gets stuck;
+    otherwise the result carries the Stuck witness of the last step.
     """
     n = g.n
     adj = g.masks
     live = (1 << n) - 1
     trace = ReductionTrace()
     while live:
-        witness = _reduction_step(adj, live, 3)
-        if witness is None:
-            sub_ids = list(bits(live))
-            sub, idmap = induced_subgraph(g, sub_ids)
-            wheel = find_k_wheel(sub, 4)
-            if wheel is None:
-                raise TheoremViolationError(
-                    "no witness and no 4-wheel in an irreducible graph", graph=g
-                )
-            back = {new: old for old, new in idmap.items()}
-            rim = normalize_cycle([back[w] for w in wheel.rim])
-            spokes = tuple(sorted((back[wheel.center], back[b]) for a, b in wheel.spokes))
-            lifted = Wheel(center=back[wheel.center], rim=rim, spokes=spokes)
-            return ColoringResult(coloring=None, trace=trace, stuck=Stuck(wheel=lifted))
+        witness = _witness(g, live, 4)
+        if isinstance(witness, Stuck):
+            return ColoringResult(coloring=None, trace=trace, stuck=witness)
         removed = witness.vertex if isinstance(witness, LowDegree) else witness.u
         trace.steps.append(ReductionStep(removed=removed, witness=witness))
         live &= ~(1 << removed)

@@ -12,7 +12,8 @@ k, and each s that fails is deleted before the next search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
+from typing import Iterator
 
 from .connectivity import vertex_connectivity
 from .errors import CertificateError, GraphError, TheoremViolationError
@@ -34,16 +35,6 @@ def is_cycle(g: Graph, seq) -> bool:
     if len(seq) < 3 or len(set(seq)) != len(seq):
         return False
     return all(g.has_edge(seq[i], seq[(i + 1) % len(seq)]) for i in range(len(seq)))
-
-
-def _cycle_through(adj: tuple[int, ...], req: int, forbidden: int) -> list[int] | None:
-    """A cycle containing every vertex of ``req`` and avoiding ``forbidden``.
-
-    Exact: returns None only when no such cycle exists.
-    """
-    if req & forbidden:
-        return None
-    return _cycle_hitting(adj, [(req & -req).bit_length() - 1], req, req.bit_count(), forbidden)
 
 
 def _cycle_hitting(adj: tuple[int, ...], path: list[int], hit: int, k: int,
@@ -100,7 +91,7 @@ def find_cycle_through(g: Graph, targets: VertexSet) -> tuple[int, ...] | None:
     req = g.vertex_mask(targets)
     if req == 0:
         raise GraphError("need at least one target vertex")
-    found = _cycle_through(g.masks, req, 0)
+    found = _cycle_hitting(g.masks, [(req & -req).bit_length() - 1], req, req.bit_count(), 0)
     return normalize_cycle(found) if found else None
 
 
@@ -185,11 +176,16 @@ def is_wheel_center(g: Graph, v: int, k: int) -> Wheel | None:
     return None
 
 
+def _centers(g: Graph, k: int) -> Iterator[int]:
+    """The k-wheel centers of g in ascending order, found lazily."""
+    return (v for v in g.vertices() if is_wheel_center(g, v, k) is not None)
+
+
 def wheel_centers(g: Graph, k: int = 4) -> tuple[int, ...]:
     """All vertices that are the center of some k-wheel."""
     if k < 3:
         raise GraphError("wheels need at least 3 spokes")
-    return tuple(v for v in g.vertices() if is_wheel_center(g, v, k) is not None)
+    return tuple(_centers(g, k))
 
 
 def find_k_wheel(g: Graph, k: int) -> Wheel | None:
@@ -214,17 +210,14 @@ def is_k_wheel_free(g: Graph, k: int) -> bool:
 
 def _almost_4_wheel_free_check(g: Graph) -> tuple[bool, tuple[int, ...]]:
     """(verdict, centers found); bails out once four centers exist."""
-    centers = []
-    for v in g.vertices():
-        if is_wheel_center(g, v, 4) is not None:
-            centers.append(v)
-            if len(centers) > 3:
-                return False, tuple(centers)
+    centers = tuple(islice(_centers(g, 4), 4))
+    if len(centers) > 3:
+        return False, centers
     for i, a in enumerate(centers):
         for b in centers[i + 1:]:
             if not g.has_edge(a, b):
-                return False, tuple(centers)
-    return True, tuple(centers)
+                return False, centers
+    return True, centers
 
 
 def is_almost_4_wheel_free(g: Graph) -> bool:
@@ -288,9 +281,9 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
         raise GraphError("x must not be one of the targets")
     if tmask & ~g.masks[x]:
         raise GraphError("targets must all be neighbors of x")
-    if _cycle_through(g.masks, tmask, 1 << x) is not None:
-        raise GraphError("a cycle through the targets exists; no certificate applies")
     xs = tuple(bits(tmask))
+    if _cycle_hitting(g.masks, [xs[0]], tmask, 4, 1 << x) is not None:
+        raise GraphError("a cycle through the targets exists; no certificate applies")
     pool = [v for v in g.vertices() if v != x and not (tmask >> v) & 1]
     full = (1 << g.n) - 1
     for sset in combinations(pool, 3):
@@ -310,7 +303,7 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
             return WMCertificate(x=x, targets=xs, cutset=tuple(sset), components=comps)
     # guarantee regime: with g - x 3-connected a certificate must exist
     gx, _ = induced_subgraph(g, [v for v in g.vertices() if v != x])
-    if gx.n >= 1 and vertex_connectivity(gx) >= 3:
+    if vertex_connectivity(gx) >= 3:
         raise TheoremViolationError(
             "no scattering cutset found although one is guaranteed", graph=g
         )

@@ -2,8 +2,9 @@
 scale against independent brute force, zero tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-summary lines.  The whole suite is single-process and deterministic; on a
-small machine expect roughly 15-25 minutes.
+summary lines.  The whole suite is single-process and deterministic; the
+full test run, this suite included, took 453 s on a shared 2-CPU machine
+(Python 3.11).
 """
 
 import time

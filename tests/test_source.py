@@ -74,3 +74,21 @@ def test_oracles_share_nothing_with_the_fast_paths():
     ):
         assert old in source
         assert oracle_leaks(source.replace(old, new)) == {leak}
+
+
+def wheel_builders(path: Path) -> set[tuple[str, str]]:
+    """(module, top-level definition) for every ``Wheel(...)`` call in path."""
+    found = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) == "Wheel" or getattr(node.func, "attr", None) == "Wheel"):
+                found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_wheels_are_built_in_one_place_and_by_the_oracle():
+    # every fast path takes its certificate from wheels._wheel_at; the brute
+    # oracle builds its own, so it stays independent of the fast search
+    built = set().union(*(wheel_builders(path) for path in MODULES))
+    assert built == {("wheels.py", "_wheel_at"), ("oracles.py", "brute_has_k_wheel")}

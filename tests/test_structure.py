@@ -1,5 +1,7 @@
 """Twins, reduction witnesses, constructive coloring, statement checkers."""
 
+import random
+
 import pytest
 
 from wheelfree import (
@@ -7,12 +9,15 @@ from wheelfree import (
     GraphError,
     LowDegree,
     Stuck,
+    TheoremViolationError,
     TwinPair,
     VerifyStatus,
+    Wheel,
     color4,
     complete,
     complete_bipartite,
     cycle,
+    find_k_wheel,
     find_twins,
     induced_subgraph,
     petersen,
@@ -23,6 +28,7 @@ from wheelfree import (
 )
 from wheelfree.oracles import brute_chromatic_number, brute_has_k_wheel
 from wheelfree.structure import STATEMENTS
+from wheelfree.wheels import normalize_cycle
 
 
 # -- twins --------------------------------------------------------------------
@@ -119,8 +125,6 @@ def test_color4_stuck_reports_original_ids():
 def test_color4_trace_matches_reduction_witness():
     """Each trace step is exactly what reduction_witness says on the
     corresponding induced subgraph (mapped back to original ids)."""
-    import random
-
     rnd = random.Random(7)
     for _ in range(60):
         n = rnd.randint(1, 7)
@@ -141,6 +145,49 @@ def test_color4_trace_matches_reduction_witness():
             assert not live
             result.coloring.validate(g)
             assert result.coloring.colors_used <= 4
+
+
+def test_color4_stuck_wheel_is_the_induced_subgraph_wheel():
+    """The stuck wheel is the one find_k_wheel finds in the induced
+    subgraph on the live vertices, mapped back to the input's ids, with
+    the rim normalized and the spokes sorted."""
+    rnd = random.Random(12)
+    stuck = shuffled = 0
+    for _ in range(400):
+        n = rnd.randint(6, 12)
+        p = rnd.choice((0.4, 0.5, 0.6, 0.7))
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p])
+        result = color4(g)
+        if result.succeeded:
+            continue
+        removed = {step.removed for step in result.trace}
+        live = [v for v in range(n) if v not in removed]
+        sub, idmap = induced_subgraph(g, live)
+        back = {new: old for old, new in idmap.items()}
+        wheel = find_k_wheel(sub, 4)
+        center = back[wheel.center]
+        assert result.stuck.wheel == Wheel(
+            center=center,
+            rim=normalize_cycle([back[w] for w in wheel.rim]),
+            spokes=tuple(sorted((center, back[b]) for _, b in wheel.spokes)),
+        )
+        stuck += 1
+        # ids are not a plain shift when a removed id lies below a live one
+        shuffled += bool(removed) and min(removed) < live[-1]
+    assert shuffled >= 50, (stuck, shuffled)
+
+
+def test_reduction_violation_has_one_message(monkeypatch):
+    import wheelfree.structure
+
+    monkeypatch.setattr(wheelfree.structure, "find_k_wheel", lambda g, k: None)
+    message = "graph with min degree > 3 and no twins contains no 4-wheel"
+    for run in (lambda: reduction_witness(complete(5), 4), lambda: color4(complete(5))):
+        with pytest.raises(TheoremViolationError) as exc:
+            run()
+        assert str(exc.value) == message
+    r = verify_statement(complete(5), "cor-1.5")
+    assert (r.status, r.detail) == (VerifyStatus.COUNTEREXAMPLE, message)
 
 
 # -- tight constructions -------------------------------------------------------------
@@ -278,7 +325,6 @@ def test_verify_labels_every_result_with_its_id():
 
 def test_verify_witness_violation_detail_is_the_message(monkeypatch):
     import wheelfree.structure
-    from wheelfree import TheoremViolationError
 
     def violated(g, k):
         raise TheoremViolationError(f"no {k}-witness on purpose", graph=g)
