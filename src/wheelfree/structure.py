@@ -7,8 +7,8 @@ with equal neighborhoods), and the analogous statement for 3-wheel-free
 graphs with degree bound 2.  ``reduction_witness`` takes that step once
 on the whole graph; ``color4`` repeats the same step over a shrinking
 live set and re-colors on the way back, which yields a proper coloring
-with at most 4 colors.  When the step finds no witness, the 4-wheel it
-reports is searched in G[live] and is given in the input's own ids.
+with at most 4 colors.  When the step finds neither witness, the k-wheel
+it reports is found in G[live] and given in the input's own ids.
 """
 
 from __future__ import annotations

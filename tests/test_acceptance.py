@@ -3,8 +3,8 @@ scale against independent brute force, zero tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines.  The whole suite is single-process and deterministic; the
-full test run, this suite included, took 453 s on a shared 2-CPU machine
-(Python 3.11).
+full test run, this suite included, took 453 s and 758 s in two runs on
+a shared 2-CPU machine (Python 3.11).
 """
 
 import time
