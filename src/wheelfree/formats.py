@@ -3,6 +3,10 @@
 graph6 here is the short form only (n <= 62): the size byte is n+63 and
 the upper-triangle bits x(0,1), x(0,2), x(1,2), x(0,3), ... are packed
 big-endian into 6-bit groups, each stored as value+63, zero-padded.
+Row j's pairs (i < j, j) are one field of j bits in that order, so the
+codec reverses each group to put pair k at bit k of one int and cuts it
+into row fields, which ``graph.mirror`` makes symmetric; encoding packs
+the same fields.
 """
 
 from __future__ import annotations
@@ -10,9 +14,12 @@ from __future__ import annotations
 import warnings
 
 from .errors import ParseError, ParseWarning
-from .graph import Graph
+from .graph import Graph, mirror
 
 GRAPH6_HEADER = ">>graph6<<"
+
+# 6-bit values bit-reversed: graph6 puts pair k at bit 5 - k % 6 of byte k // 6
+_REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
 
 
 def _as_text(data) -> str:
@@ -53,24 +60,19 @@ def parse_graph6(data) -> Graph:
         )
     if len(body) > nbytes:
         raise ParseError("trailing garbage after graph6 body", offset=base + 1 + nbytes)
-    adj = [0] * n
-    pairs_per_column = [(i, j) for j in range(1, n) for i in range(j)]
-    k = 0
+    packed = 0
     for bi, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val <= 63:
             raise ParseError(f"invalid graph6 byte {ch!r}", offset=base + 1 + bi)
-        for shift in range(5, -1, -1):
-            bit = (val >> shift) & 1
-            if k < nbits:
-                if bit:
-                    i, j = pairs_per_column[k]
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-            elif bit:
-                raise ParseError("nonzero padding bits in graph6 body", offset=base + 1 + bi)
-            k += 1
-    return Graph._of(n, adj)
+        packed |= _REVERSED6[val] << (6 * bi)
+    if packed >> nbits:  # padding lives in the last body byte
+        raise ParseError("nonzero padding bits in graph6 body", offset=base + nbytes)
+    lower = []
+    for j in range(n):
+        lower.append(packed & ((1 << j) - 1))
+        packed >>= j
+    return Graph._of(n, mirror(lower))
 
 
 def to_graph6(g: Graph) -> str:
@@ -78,21 +80,13 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > 62:
         raise ParseError(f"graph6 short form supports n <= 62, got {n}")
-    out = [chr(n + 63)]
-    adj = g.masks
-    val = 0
-    nb = 0
-    for j in range(1, n):
-        for i in range(j):
-            val = (val << 1) | ((adj[i] >> j) & 1)
-            nb += 1
-            if nb == 6:
-                out.append(chr(val + 63))
-                val = 0
-                nb = 0
-    if nb:
-        out.append(chr((val << (6 - nb)) + 63))
-    return "".join(out)
+    packed = 0
+    shift = 0
+    for j, row in enumerate(g.masks):
+        packed |= (row & ((1 << j) - 1)) << shift
+        shift += j
+    groups = (chr(_REVERSED6[(packed >> k) & 63] + 63) for k in range(0, shift, 6))
+    return chr(n + 63) + "".join(groups)
 
 
 def parse_graph6_lines(text) -> list[Graph]:

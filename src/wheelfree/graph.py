@@ -26,6 +26,41 @@ def bits(mask: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
+def mirror(half: list[int]) -> list[int]:
+    """Symmetric masks from half rows: bit i of row j is set for every
+    bit j of row i, so each edge need appear in one of its rows only."""
+    adj = list(half)
+    for i, row in enumerate(half):
+        bit = 1 << i
+        while row:
+            b = row & -row
+            row ^= b
+            adj[b.bit_length() - 1] |= bit
+    return adj
+
+
+def upper_code(rows) -> int:
+    """The i-major edge code: row i's pairs (i, j > i), the field
+    rows[i] >> (i + 1), follow the fields of rows 0..i-1."""
+    code = shift = 0
+    for i, row in enumerate(rows):
+        code |= (row >> (i + 1)) << shift
+        shift += len(rows) - 1 - i
+    return code
+
+
+def mapped_rows(adj: tuple[int, ...], keep: int, image) -> list[int]:
+    """Rows of the subgraph induced by the mask ``keep`` with each kept
+    vertex v renamed image[v]; the images must be 0..|keep|-1."""
+    rows = [0] * keep.bit_count()
+    for v in bits(keep):
+        row = 0
+        for w in bits(adj[v] & keep):
+            row |= 1 << image[w]
+        rows[image[v]] = row
+    return rows
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
@@ -80,30 +115,20 @@ class Graph:
     @classmethod
     def from_edge_code(cls, n: int, code: int) -> "Graph":
         """Decode an upper-triangle edge bitmap: bit k is the k-th pair
-        (0,1),(0,2),...,(0,n-1),(1,2),... in i-major order."""
-        adj = [0] * n
-        k = 0
+        (0,1),(0,2),...,(0,n-1),(1,2),... in i-major order (``upper_code``)."""
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        half = []
         for i in range(n):
-            for j in range(i + 1, n):
-                if (code >> k) & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                k += 1
-        if code >> k:
-            raise GraphError(f"edge code has bits beyond pair count {k}")
-        return cls._of(n, adj)
+            width = n - 1 - i
+            half.append((code & ((1 << width) - 1)) << (i + 1))
+            code >>= width
+        if code:
+            raise GraphError(f"edge code has bits beyond pair count {n * (n - 1) // 2}")
+        return cls._of(n, mirror(half))
 
     def edge_code(self) -> int:
-        code = 0
-        k = 0
-        adj = self._adj
-        for i in range(self.n):
-            row = adj[i]
-            for j in range(i + 1, self.n):
-                if (row >> j) & 1:
-                    code |= 1 << k
-                k += 1
-        return code
+        return upper_code(self._adj)
 
     # -- queries ---------------------------------------------------------
 
@@ -206,16 +231,8 @@ def induced_subgraph(g: Graph, keep: VertexSet) -> tuple[Graph, dict[int, int]]:
     the ascending order of the kept ids.
     """
     kmask = _mask_of(keep, g.n)
-    old_ids = list(bits(kmask))
-    idmap = {old: new for new, old in enumerate(old_ids)}
-    adj = []
-    for old in old_ids:
-        row = g._adj[old] & kmask
-        new_row = 0
-        for w in bits(row):
-            new_row |= 1 << idmap[w]
-        adj.append(new_row)
-    return Graph._of(len(old_ids), adj), idmap
+    idmap = {old: new for new, old in enumerate(bits(kmask))}
+    return Graph._of(len(idmap), mapped_rows(g._adj, kmask, idmap)), idmap
 
 
 def neighborhood(g: Graph, f: VertexSet) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ so the one search serves both.
 from __future__ import annotations
 
 from .errors import GraphError
-from .graph import Graph
+from .graph import Graph, mapped_rows, upper_code
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -19,16 +19,7 @@ def relabel(g: Graph, perm) -> Graph:
     perm = list(perm)
     if sorted(perm) != list(range(g.n)):
         raise GraphError("not a permutation of the vertex ids")
-    adj = [0] * g.n
-    for v in range(g.n):
-        row = 0
-        m = g.masks[v]
-        while m:
-            b = m & -m
-            m ^= b
-            row |= 1 << perm[b.bit_length() - 1]
-        adj[perm[v]] = row
-    return Graph.from_masks(adj)
+    return Graph._of(g.n, mapped_rows(g.masks, (1 << g.n) - 1, perm))
 
 
 def _refine(g: Graph) -> list[int]:
@@ -100,12 +91,8 @@ class _CanonicalSearch:
         self.autos: list[tuple[list[int], int]] = []
 
     def run(self) -> int:
-        n = self.n
-        self._fill(n - 1, True)
-        code = 0
-        for p in range(n - 1):
-            code |= (self.best_rows[p] >> (p + 1)) << (p * (n - 1) - p * (p - 1) // 2)
-        return code
+        self._fill(self.n - 1, True)
+        return upper_code(self.best_rows)
 
     def _fill(self, p: int, better: bool) -> int:
         """Search the subtree below the placed prefix (positions > p).

@@ -93,6 +93,16 @@ _EMPTY_THEN_K4 = {
 }
 
 
+@pytest.mark.parametrize("command", [["kappa"], ["color4"], ["wheel"], ["ends"],
+                                     ["wm-cert", "--x", "0", "--targets", "1,2,3,4"]])
+def test_per_graph_commands_refuse_inputs_over_62_vertices(capsys, tmp_path, command):
+    # every report names its graph by a graph6 short-form line
+    f = tmp_path / "n63.txt"
+    f.write_text("63 1\n0 62\n")
+    assert run(capsys, *command, str(f)) == (
+        EXIT_USAGE, "", "error: graph6 short form supports n <= 62, got 63\n")
+
+
 def test_empty_graph_rules(capsys, tmp_path):
     f = tmp_path / "empty.g6"
     f.write_text("?\n")

@@ -1,5 +1,8 @@
 """graph6 / DIMACS / edge-list parsing and serialization."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -74,13 +77,27 @@ def test_graph6_trailing_garbage():
 
 def test_graph6_nonzero_padding():
     # n=3 uses 3 bits; low padding bits must be zero ('~' sets them)
-    with pytest.raises(ParseError, match="padding"):
+    with pytest.raises(ParseError, match="padding") as info:
         parse_graph6("B~")
+    assert info.value.offset == 1
+    with pytest.raises(ParseError, match="padding") as info:
+        parse_graph6(">>graph6<<B~")
+    assert info.value.offset == 11
+    # n=6 uses 15 bits: the padding sits in the third body byte
+    with pytest.raises(ParseError, match="padding") as info:
+        parse_graph6("E??@")
+    assert info.value.offset == 3
 
 
 def test_graph6_invalid_body_byte():
     with pytest.raises(ParseError):
         parse_graph6("C\x07?")
+    # n=6 has three body bytes; the offset names the bad one
+    for text, offset in (("E\x07??", 1), ("E??\x07", 3), (">>graph6<<E\x07??", 11),
+                         (">>graph6<<E??\x7f", 13)):
+        with pytest.raises(ParseError, match="invalid graph6 byte") as info:
+            parse_graph6(text)
+        assert info.value.offset == offset, text
 
 
 def test_graph6_lines():
@@ -104,6 +121,69 @@ def test_graph6_roundtrip_random(n, rnd):
     code = rnd.getrandbits(n * (n - 1) // 2)
     g = Graph.from_edge_code(n, code)
     assert parse_graph6(to_graph6(g)) == g
+
+
+# -- codecs against their definition ----------------------------------------
+# These references take one pair at a time from has_edge, in the pair order
+# each format defines, and share nothing with the package's codecs.
+
+
+def ref_edge_code(g):
+    """Bit k is the k-th pair (0,1), (0,2), ..., (0,n-1), (1,2), ..."""
+    pairs = combinations(range(g.n), 2)
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if g.has_edge(i, j))
+
+
+def ref_from_edge_code(n, code):
+    return Graph(n, [p for k, p in enumerate(combinations(range(n), 2)) if (code >> k) & 1])
+
+
+def column_pairs(n):
+    """graph6's pair order: (0,1), (0,2), (1,2), (0,3), ..."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+def ref_to_graph6(g):
+    """Pair bits big-endian in 6-bit groups, zero-padded, each stored +63."""
+    stream = [int(g.has_edge(i, j)) for i, j in column_pairs(g.n)]
+    stream += [0] * (-len(stream) % 6)
+    groups = [stream[k:k + 6] for k in range(0, len(stream), 6)]
+    return chr(g.n + 63) + "".join(chr(int("".join(map(str, b)), 2) + 63) for b in groups)
+
+
+def ref_parse_graph6(text):
+    n = ord(text[0]) - 63
+    stream = "".join(f"{ord(ch) - 63:06b}" for ch in text[1:])
+    return Graph(n, [p for p, b in zip(column_pairs(n), stream) if b == "1"])
+
+
+def check_codecs(n, code):
+    g = ref_from_edge_code(n, code)
+    assert g.edge_code() == ref_edge_code(g) == code
+    assert Graph.from_edge_code(n, code) == g
+    text = to_graph6(g)
+    assert text == ref_to_graph6(g)
+    assert parse_graph6(text) == ref_parse_graph6(text) == g
+
+
+def test_codecs_match_definition_on_tiny_and_all_labeled_graphs_n6():
+    for n in range(7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            check_codecs(n, code)
+
+
+def test_codecs_match_definition_on_every_97th_code_n7():
+    for code in range(0, 1 << 21, 97):
+        check_codecs(7, code)
+
+
+def test_codecs_match_definition_on_random_graphs_to_n62():
+    rnd = random.Random(62)
+    sizes = [62] + [rnd.randint(8, 62) for _ in range(299)]
+    for n in sizes:
+        p = rnd.uniform(0.05, 0.95)
+        pairs = n * (n - 1) // 2
+        check_codecs(n, sum(1 << k for k in range(pairs) if rnd.random() < p))
 
 
 # -- DIMACS ----------------------------------------------------------------

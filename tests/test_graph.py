@@ -48,6 +48,12 @@ def test_edge_code_roundtrip():
     assert Graph.from_edge_code(4, g.edge_code()) == g
 
 
+def test_from_edge_code_refuses_negative_vertex_count():
+    for n, code in ((-1, 0), (-2, 0), (-1, 1)):
+        with pytest.raises(GraphError, match="vertex count must be non-negative"):
+            Graph.from_edge_code(n, code)
+
+
 def test_from_masks_validates():
     with pytest.raises(GraphError):
         Graph.from_masks([0b010, 0b000, 0b000])  # asymmetric

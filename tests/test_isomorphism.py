@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wheelfree import (
     Graph,
+    GraphError,
     canonical_code,
     canonical_form,
     complete,
@@ -41,10 +42,10 @@ def brute_code(g: Graph) -> int:
     places the refinement classes block by block, each class permuted."""
     best = None
     for blocks in product(*(permutations(c) for c in _classes(_refine(g)))):
-        perm = [0] * g.n
-        for pos, v in enumerate(v for block in blocks for v in block):
-            perm[v] = pos
-        code = relabel(g, perm).edge_code()
+        order = [v for block in blocks for v in block]  # order[pos] = vertex
+        # bit k is the k-th pair (p, q), p < q, in i-major order of positions
+        pairs = combinations(range(g.n), 2)
+        code = sum(1 << k for k, (p, q) in enumerate(pairs) if g.has_edge(order[p], order[q]))
         if best is None or code < best:
             best = code
     return best
@@ -75,9 +76,18 @@ def test_relabelings_are_isomorphic():
         perm = list(range(n))
         rnd.shuffle(perm)
         h = relabel(g, perm)
+        assert Graph.from_masks(h.masks) == h  # symmetric, loop-free, in range
+        assert all(h.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+                   for u, v in combinations(range(n), 2))
         assert is_isomorphic(g, h)
         assert canonical_code(g) == canonical_code(h)
         assert canonical_form(g) == canonical_form(h)
+
+
+def test_relabel_refuses_non_permutations():
+    for perm in ([0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3]):
+        with pytest.raises(GraphError, match="not a permutation"):
+            relabel(cycle(3), perm)
 
 
 def test_regular_non_isomorphic_pair():

@@ -1,0 +1,108 @@
+"""Print one ``family sha256`` line per family of wheelfree outputs.
+
+Two checkouts compute the same outputs iff they print the same lines:
+
+    PYTHONPATH=<checkout>/src python3 tools/digest.py
+
+Every family hashes every labeled graph with n <= 6 and every n = 7
+isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the codecs,
+n = 8..16 for the rest.  Graphs are built from edge lists with the
+``Graph`` constructor, so no family relies on the codecs to make its
+inputs; an exception is hashed as its type and message.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from itertools import chain, combinations
+
+from wheelfree import (
+    STATEMENTS,
+    Graph,
+    ToolkitError,
+    canonical_code,
+    color4,
+    ends,
+    enumerate_graphs,
+    induced_subgraph,
+    parse_graph6,
+    reduction_witness,
+    relabel,
+    to_graph6,
+    verify_statement,
+)
+
+
+def labeled(n: int):
+    """Every labeled graph on n vertices, in i-major edge-code order."""
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        yield Graph(n, [p for k, p in enumerate(pairs) if (code >> k) & 1])
+
+
+def seeded(count: int, lo: int, hi: int, seed: int):
+    """``count`` G(n, p) graphs with n in lo..hi (hi among them), p in 0.1..0.9."""
+    rnd = random.Random(seed)
+    for i in range(count):
+        n = hi if i == 0 else rnd.randint(lo, hi)
+        p = rnd.uniform(0.1, 0.9)
+        yield Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+def small():
+    for n in range(7):
+        yield from labeled(n)
+    for rep in enumerate_graphs(7, dedup=True):
+        yield Graph(7, rep.edges())
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except ToolkitError as exc:  # the error text is the output
+        return f"{type(exc).__name__}: {exc}"
+
+
+def codecs(g: Graph, rnd: random.Random) -> tuple:
+    code = g.edge_code()
+    text = to_graph6(g)
+    perm = rnd.sample(range(g.n), g.n)
+    keep = [v for v in range(g.n) if rnd.random() < 0.6]
+    sub, idmap = induced_subgraph(g, keep)
+    return (g.n, code, Graph.from_edge_code(g.n, code).masks, text, parse_graph6(text).masks,
+            canonical_code(g), relabel(g, perm).masks, sub.masks, sorted(idmap.items()))
+
+
+def statements(g: Graph, rnd: random.Random) -> tuple:
+    return tuple(verify_statement(g, sid) for sid in STATEMENTS)
+
+
+def coloring(g: Graph, rnd: random.Random) -> tuple:
+    return outcome(color4, g), outcome(reduction_witness, g, 3), outcome(reduction_witness, g, 4)
+
+
+def end_sets(g: Graph, rnd: random.Random) -> tuple:
+    return (outcome(ends, g),)
+
+
+# name, outputs of one graph, seeded graph count, largest seeded n, seed
+FAMILIES = (
+    ("codecs", codecs, 500, 62, 1),
+    ("statements", statements, 300, 16, 2),
+    ("color4", coloring, 300, 16, 3),
+    ("ends", end_sets, 300, 16, 4),
+)
+
+
+def main() -> None:
+    for name, family, count, hi, seed in FAMILIES:
+        rnd = random.Random(seed)
+        digest = hashlib.sha256()
+        for g in chain(small(), seeded(count, 8, hi, seed)):
+            digest.update(f"{to_graph6(g)} {family(g, rnd)!r}\n".encode())
+        print(name, digest.hexdigest(), flush=True)
+
+
+if __name__ == "__main__":
+    main()
