@@ -62,8 +62,6 @@ from .structure import (
     Coloring,
     ColoringResult,
     LowDegree,
-    ReductionStep,
-    ReductionTrace,
     STATEMENTS,
     Stuck,
     TwinPair,
@@ -108,8 +106,8 @@ __all__ = [
     "is_wheel_center", "wheel_centers", "find_k_wheel", "is_k_wheel_free",
     "is_almost_4_wheel_free", "wm_certificate",
     # structure
-    "TwinPair", "LowDegree", "Stuck", "ReductionStep", "ReductionTrace",
-    "Coloring", "ColoringResult", "find_twins", "reduction_witness", "color4",
+    "TwinPair", "LowDegree", "Stuck", "Coloring", "ColoringResult",
+    "find_twins", "reduction_witness", "color4",
     "VerifyStatus", "VerifyResult", "verify_statement", "STATEMENTS",
     # oracles
     "brute_chromatic_number", "brute_has_k_wheel", "brute_vertex_connectivity",

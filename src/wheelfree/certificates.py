@@ -9,7 +9,7 @@ the toolkit's external interface and are frozen by golden tests.
 from __future__ import annotations
 
 from .connectivity import EndBlock, Fan
-from .structure import Coloring, LowDegree, ReductionTrace, VerifyResult
+from .structure import Coloring, LowDegree, TwinPair, VerifyResult
 from .wheels import WMCertificate, Wheel
 
 
@@ -72,14 +72,13 @@ def render_coloring(c: Coloring) -> str:
     ])
 
 
-def render_trace(t: ReductionTrace) -> str:
+def render_trace(trace: tuple[LowDegree | TwinPair, ...]) -> str:
     lines = ["certificate: reduction-trace"]
-    for i, step in enumerate(t, start=1):
-        w = step.witness
+    for i, w in enumerate(trace, start=1):
         if isinstance(w, LowDegree):
-            lines.append(f"step {i}: low-degree remove={step.removed} bound={w.bound}")
+            lines.append(f"step {i}: low-degree remove={w.vertex} bound={w.bound}")
         else:
-            lines.append(f"step {i}: twins remove={step.removed} keep={w.v}")
+            lines.append(f"step {i}: twins remove={w.u} keep={w.v}")
     return "\n".join(lines)
 
 
@@ -103,7 +102,6 @@ _RENDERERS = {
     EndBlock: render_end_block,
     WMCertificate: render_wm,
     Coloring: render_coloring,
-    ReductionTrace: render_trace,
     VerifyResult: render_verify_result,
 }
 

@@ -24,7 +24,7 @@ from . import generators
 from .certificates import render, render_coloring, render_trace, render_verify_result, render_wm
 from .errors import (BudgetExceededError, GraphError, NoFragmentsError, ParseError, ParseWarning,
                      TheoremViolationError)
-from .formats import read_graphs, to_graph6
+from .formats import GRAPH6_MAX_N, read_graphs, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
 from .structure import VerifyStatus, color4, verify_statement
@@ -67,7 +67,7 @@ def _per_graph(args, command: str, report, count_key: str | None = None) -> int:
     TheoremViolationError from ``report`` is that graph's
     ``counterexample:`` line and makes the report a counterexample."""
     def body(out):
-        graphs = read_graphs(_read_input(args.input), fmt=args.format)
+        graphs = read_graphs(_read_input(args.input))
         counted = 0
         found = False
         for i, g in enumerate(graphs, start=1):
@@ -205,10 +205,10 @@ def cmd_gen(args) -> int:
     except (IndexError, ValueError):
         raise GraphError(f"generator {args.name!r} needs an integer parameter") from None
     # every generator has at least as many vertices as its parameter, and
-    # graph6 output stops at n = 62, so a larger parameter is refused unbuilt
-    if params and max(params) > 62:
-        raise GraphError(f"generator {args.name!r} parameter {max(params)} is above 62, "
-                         f"the graph6 vertex limit")
+    # graph6 output stops at GRAPH6_MAX_N, so a larger parameter is refused unbuilt
+    if params and max(params) > GRAPH6_MAX_N:
+        raise GraphError(f"generator {args.name!r} parameter {max(params)} is above "
+                         f"{GRAPH6_MAX_N}, the graph6 vertex limit")
     print(to_graph6(make(*params)))
     return EXIT_OK
 
@@ -257,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_input(p):
         p.add_argument("input", help="input file, or - for stdin")
-        p.add_argument("--format", choices=("auto", "graph6", "dimacs", "edgelist"),
-                       default="auto", help="input format (default: sniffed)")
         p.add_argument("--timing", action="store_true", help="append a wall-time line")
 
     p = sub.add_parser("color4", help="constructive coloring with at most 4 colors")

@@ -17,6 +17,7 @@ from .errors import ParseError, ParseWarning
 from .graph import Graph, mirror
 
 GRAPH6_HEADER = ">>graph6<<"
+GRAPH6_MAX_N = 62  # the short form: size byte n + 63 stays below 126, the long-form marker
 
 # 6-bit values bit-reversed: graph6 puts pair k at bit 5 - k % 6 of byte k // 6
 _REVERSED6 = tuple(int(f"{v:06b}"[::-1], 2) for v in range(64))
@@ -46,9 +47,9 @@ def parse_graph6(data) -> Graph:
         raise ParseError("empty graph6 input", offset=base)
     first = ord(text[0])
     if first == 126:
-        raise ParseError("long-form graph6 (n > 62) is not supported", offset=base)
+        raise ParseError(f"long-form graph6 (n > {GRAPH6_MAX_N}) is not supported", offset=base)
     n = first - 63
-    if not 0 <= n <= 62:
+    if not 0 <= n <= GRAPH6_MAX_N:
         raise ParseError(f"malformed graph6 size byte {text[0]!r}", offset=base)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -78,8 +79,8 @@ def parse_graph6(data) -> Graph:
 def to_graph6(g: Graph) -> str:
     """Encode to a graph6 line (short form; requires n <= 62)."""
     n = g.n
-    if n > 62:
-        raise ParseError(f"graph6 short form supports n <= 62, got {n}")
+    if n > GRAPH6_MAX_N:
+        raise ParseError(f"graph6 short form supports n <= {GRAPH6_MAX_N}, got {n}")
     packed = 0
     shift = 0
     for j, row in enumerate(g.masks):
@@ -234,18 +235,16 @@ def detect_format(text) -> str:
     return "graph6"
 
 
-def read_graphs(text, fmt: str = "auto") -> list[Graph]:
-    """Parse one input into a list of graphs.
+def read_graphs(text) -> list[Graph]:
+    """Parse one input, in the format ``detect_format`` sniffs, into a
+    list of graphs.
 
     graph6 inputs may hold several graphs (one per line); DIMACS and
     edge-list inputs hold exactly one.
     """
-    if fmt == "auto":
-        fmt = detect_format(text)
+    fmt = detect_format(text)
     if fmt == "graph6":
         return parse_graph6_lines(text)
     if fmt == "dimacs":
         return [parse_dimacs_col(text)]
-    if fmt == "edgelist":
-        return [parse_edge_list(text)]
-    raise ParseError(f"unknown format {fmt!r}")
+    return [parse_edge_list(text)]

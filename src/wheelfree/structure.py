@@ -7,14 +7,17 @@ with equal neighborhoods), and the analogous statement for 3-wheel-free
 graphs with degree bound 2.  ``reduction_witness`` takes that step once
 on the whole graph; ``color4`` repeats the same step over a shrinking
 live set and re-colors on the way back, which yields a proper coloring
-with at most 4 colors.  When the step finds neither witness, the k-wheel
-it reports is found in G[live] and given in the input's own ids.
+with at most 4 colors.  Its trace is the witnesses themselves, in
+removal order: each names the vertex it removes.  When the step finds
+neither witness, the k-wheel it reports is found in G[live] and given
+in the input's own ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 from .connectivity import _end_block, _ends, vertex_connectivity
 from .errors import (
@@ -62,26 +65,6 @@ class Stuck:
 
 
 ReductionWitness = TwinPair | LowDegree | Stuck
-
-
-@dataclass(frozen=True)
-class ReductionStep:
-    removed: int
-    witness: TwinPair | LowDegree
-
-
-@dataclass
-class ReductionTrace:
-    """The elimination order: replaying the removals from the input graph
-    reproduces each step's precondition."""
-
-    steps: list[ReductionStep] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
 
 
 def _twins(adj: tuple[int, ...], live: int) -> tuple[int, int] | None:
@@ -154,10 +137,11 @@ def reduction_witness(g: Graph, k: int = 4) -> ReductionWitness:
 
 @dataclass(frozen=True)
 class Coloring:
-    """A proper vertex coloring with colors drawn from 0..palette-1."""
+    """A proper vertex coloring with colors drawn from 0..palette-1; the
+    palette is fixed at 4, the bound ``color4`` guarantees."""
 
     colors: tuple[int, ...]
-    palette: int
+    palette: ClassVar[int] = 4
 
     @property
     def colors_used(self) -> int:
@@ -177,10 +161,13 @@ class Coloring:
 @dataclass
 class ColoringResult:
     """Either a coloring with its full elimination trace, or the 4-wheel
-    that stopped the reduction plus the partial trace."""
+    that stopped the reduction plus the partial trace.  The trace is the
+    witnesses in removal order; each names the vertex it removes
+    (``LowDegree.vertex``, ``TwinPair.u``), so replaying the removals from
+    the input graph reproduces each witness's precondition."""
 
     coloring: Coloring | None
-    trace: ReductionTrace
+    trace: tuple[LowDegree | TwinPair, ...]
     stuck: Stuck | None = None
 
     @property
@@ -200,26 +187,27 @@ def color4(g: Graph) -> ColoringResult:
     n = g.n
     adj = g.masks
     live = (1 << n) - 1
-    trace = ReductionTrace()
+    trace = []
     while live:
-        witness = _witness(g, live, 4)
-        if isinstance(witness, Stuck):
-            return ColoringResult(coloring=None, trace=trace, stuck=witness)
-        removed = witness.vertex if isinstance(witness, LowDegree) else witness.u
-        trace.steps.append(ReductionStep(removed=removed, witness=witness))
-        live &= ~(1 << removed)
-    colors = [-1] * n
-    for step in reversed(trace.steps):
-        w = step.witness
+        w = _witness(g, live, 4)
         if isinstance(w, LowDegree):
-            taken = {colors[u] for u in bits(adj[step.removed]) if colors[u] >= 0}
+            live &= ~(1 << w.vertex)
+        elif isinstance(w, TwinPair):
+            live &= ~(1 << w.u)
+        else:
+            return ColoringResult(coloring=None, trace=tuple(trace), stuck=w)
+        trace.append(w)
+    colors = [-1] * n
+    for w in reversed(trace):
+        if isinstance(w, LowDegree):
+            taken = {colors[u] for u in bits(adj[w.vertex]) if colors[u] >= 0}
             c = 0
             while c in taken:
                 c += 1
-            colors[step.removed] = c
+            colors[w.vertex] = c
         else:
-            colors[step.removed] = colors[w.v]
-    return ColoringResult(coloring=Coloring(colors=tuple(colors), palette=4), trace=trace)
+            colors[w.u] = colors[w.v]
+    return ColoringResult(coloring=Coloring(colors=tuple(colors)), trace=tuple(trace))
 
 
 # -------------------------------------------------------------------------

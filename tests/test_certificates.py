@@ -3,8 +3,6 @@
 from wheelfree import (
     Coloring,
     Fan,
-    ReductionStep,
-    ReductionTrace,
     LowDegree,
     TwinPair,
     Wheel,
@@ -78,17 +76,14 @@ def test_wm_golden():
 
 
 def test_coloring_golden():
-    c = Coloring(colors=(0, 1, 0, 1), palette=4)
+    c = Coloring(colors=(0, 1, 0, 1))
     assert render_coloring(c) == (
         "certificate: coloring\npalette: 4\ncolors: 0 1 0 1"
     )
 
 
 def test_trace_golden():
-    t = ReductionTrace(steps=[
-        ReductionStep(removed=3, witness=LowDegree(vertex=3, bound=3)),
-        ReductionStep(removed=0, witness=TwinPair(u=0, v=2)),
-    ])
+    t = (LowDegree(vertex=3, bound=3), TwinPair(u=0, v=2))
     assert render_trace(t) == (
         "certificate: reduction-trace\n"
         "step 1: low-degree remove=3 bound=3\n"

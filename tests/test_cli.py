@@ -207,6 +207,24 @@ def test_wm_cert_cli(capsys, tmp_path):
     assert code == EXIT_OK
 
 
+def test_wm_cert_cli_no_certificate(capsys, tmp_path):
+    # the path 0-1-2-3 with apex 4: no cycle through the targets and no
+    # vertex left to cut with, so there is no certificate and no violation
+    f = tmp_path / "fan.g6"
+    f.write_text("Dh{\n")
+    assert run(capsys, "wm-cert", str(f), "--x", "4", "--targets", "0,1,2,3") == (EXIT_OK, f"""\
+report: wm-cert
+version: 0.1.0
+input: {f}
+
+graph 1: Dh{{
+status: no-certificate
+
+summary: graphs=1
+status: ok
+""", "")
+
+
 def test_wm_cert_bad_targets_exit_usage(capsys, tmp_path):
     from wheelfree import complete_bipartite, to_graph6
 

@@ -20,6 +20,7 @@ from wheelfree import (
     find_k_wheel,
     find_twins,
     induced_subgraph,
+    octahedron,
     petersen,
     reduction_witness,
     tight_example,
@@ -86,7 +87,7 @@ def test_color4_k4_uses_four():
     assert result.succeeded
     assert result.coloring.colors_used == 4
     result.coloring.validate(complete(4))
-    assert all(isinstance(s.witness, LowDegree) for s in result.trace)
+    assert all(isinstance(w, LowDegree) for w in result.trace)
 
 
 def test_color4_k44_uses_two():
@@ -118,7 +119,7 @@ def test_color4_stuck_reports_original_ids():
     g = Graph(7, [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(0, 6)])
     result = color4(g)
     assert not result.succeeded
-    assert len(result.trace) == 1 and result.trace.steps[0].removed == 6
+    assert result.trace == (LowDegree(vertex=6, bound=3),)
     result.stuck.wheel.validate(g, 4)
 
 
@@ -131,16 +132,17 @@ def test_color4_trace_matches_reduction_witness():
         g = Graph.from_edge_code(n, rnd.getrandbits(n * (n - 1) // 2))
         result = color4(g)
         live = list(range(n))
-        for step in result.trace:
+        for w in result.trace:
             sub, idmap = induced_subgraph(g, live)
             back = {new: old for old, new in idmap.items()}
-            w = reduction_witness(sub, 4)
-            if isinstance(w, LowDegree):
-                assert step.witness == LowDegree(vertex=back[w.vertex], bound=3)
+            sw = reduction_witness(sub, 4)
+            if isinstance(sw, LowDegree):
+                assert w == LowDegree(vertex=back[sw.vertex], bound=3)
+                live.remove(w.vertex)
             else:
-                assert isinstance(w, TwinPair)
-                assert step.witness == TwinPair(u=back[w.u], v=back[w.v])
-            live.remove(step.removed)
+                assert isinstance(sw, TwinPair)
+                assert w == TwinPair(u=back[sw.u], v=back[sw.v])
+                live.remove(w.u)
         if result.succeeded:
             assert not live
             result.coloring.validate(g)
@@ -160,7 +162,7 @@ def test_color4_stuck_wheel_is_the_induced_subgraph_wheel():
         result = color4(g)
         if result.succeeded:
             continue
-        removed = {step.removed for step in result.trace}
+        removed = {w.vertex if isinstance(w, LowDegree) else w.u for w in result.trace}
         live = [v for v in range(n) if v not in removed]
         sub, idmap = induced_subgraph(g, live)
         back = {new: old for old, new in idmap.items()}
@@ -270,6 +272,19 @@ def test_verify_alias():
 def test_verify_lemma42():
     assert verify_statement(complete(6), "lemma-4.2").status is VerifyStatus.PASS
     assert verify_statement(cycle(5), "lemma-4.2").status is VerifyStatus.NOT_APPLICABLE
+
+
+def test_verify_lemma43_with_triangles(monkeypatch):
+    import wheelfree.structure
+
+    r = verify_statement(complete(5), "lemma-4.3")
+    assert (r.status, r.detail) == (VerifyStatus.PASS, "5 triangle vertices are all centers")
+    r = verify_statement(octahedron(), "lemma-4.3")
+    assert (r.status, r.detail) == (VerifyStatus.PASS, "6 triangle vertices are all centers")
+    monkeypatch.setattr(wheelfree.structure, "is_wheel_center", lambda g, v, k: None)
+    r = verify_statement(complete(5), "lemma-4.3")
+    assert (r.status, r.detail) == (
+        VerifyStatus.COUNTEREXAMPLE, "triangle vertices [0, 1, 2, 3, 4] are not centers")
 
 
 def test_verify_thm45_k4_vacuous():

@@ -16,6 +16,7 @@ from wheelfree import (
     is_almost_4_wheel_free,
     is_k_wheel_free,
     is_wheel_center,
+    parse_graph6,
     petersen,
     relabel,
     tight_example,
@@ -165,6 +166,15 @@ def test_almost_4_wheel_free():
     assert is_almost_4_wheel_free(complete_bipartite(4))  # W empty
     assert is_almost_4_wheel_free(complete(4))            # no wheels at all
     assert not is_almost_4_wheel_free(complete(6))        # W is everything
+    # one to three centers: the verdict is whether they form a clique
+    assert wheel_centers(parse_graph6("Dn{"), 4) == (1, 3, 4)
+    assert is_almost_4_wheel_free(parse_graph6("Dn{"))
+    assert wheel_centers(parse_graph6("ErNg"), 4) == (2, 5)
+    assert is_almost_4_wheel_free(parse_graph6("ErNg"))
+    assert wheel_centers(parse_graph6("FgttW"), 4) == (1, 6)
+    assert not is_almost_4_wheel_free(parse_graph6("FgttW"))
+    assert wheel_centers(parse_graph6("FM\\sW"), 4) == (1, 4, 5)
+    assert not is_almost_4_wheel_free(parse_graph6("FM\\sW"))
 
 
 def _brute_spokes(g: Graph) -> list[int]:
@@ -263,6 +273,15 @@ def test_wm_requires_neighbors():
         wm_certificate(g, 4, [0, 1, 2, 5])  # 5 is not a neighbor of 4
     with pytest.raises(GraphError):
         wm_certificate(g, 4, [0, 1, 2])  # needs exactly four
+
+
+def test_wm_none_when_no_cutset_scatters():
+    # the path 0-1-2-3 with apex 4: no cycle through the targets and no
+    # vertex left to cut with
+    assert wm_certificate(parse_graph6("Dh{"), 4, [0, 1, 2, 3]) is None
+    # x = 0: the one candidate cutset (1, 6, 7) leaves targets together,
+    # and g - x is not 3-connected, so no certificate is owed
+    assert wm_certificate(parse_graph6("GSz?_o"), 0, [2, 3, 4, 5]) is None
 
 
 def test_wm_validation_catches_bad_cutset():

@@ -8,7 +8,10 @@ Every family hashes every labeled graph with n <= 6 and every n = 7
 isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the codecs,
 n = 8..16 for the rest.  Graphs are built from edge lists with the
 ``Graph`` constructor, so no family relies on the codecs to make its
-inputs; an exception is hashed as its type and message.  Stdlib only.
+inputs; an exception is hashed as its type and message.  ``color4`` is
+hashed as the certificates it renders to, the text it shows the world,
+so a change of its result types that keeps that text keeps the line.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from wheelfree import (
     to_graph6,
     verify_statement,
 )
+from wheelfree.certificates import render, render_coloring, render_trace
 
 
 def labeled(n: int):
@@ -78,8 +82,16 @@ def statements(g: Graph, rnd: random.Random) -> tuple:
     return tuple(verify_statement(g, sid) for sid in STATEMENTS)
 
 
+def rendered_color4(g: Graph) -> str:
+    """color4's result as the certificates it renders to."""
+    r = color4(g)
+    cert = render_coloring(r.coloring) if r.succeeded else render(r.stuck.wheel)
+    return f"{cert}\n{render_trace(r.trace)}"
+
+
 def coloring(g: Graph, rnd: random.Random) -> tuple:
-    return outcome(color4, g), outcome(reduction_witness, g, 3), outcome(reduction_witness, g, 4)
+    return (outcome(rendered_color4, g), outcome(reduction_witness, g, 3),
+            outcome(reduction_witness, g, 4))
 
 
 def end_sets(g: Graph, rnd: random.Random) -> tuple:
