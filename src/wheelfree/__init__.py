@@ -53,7 +53,6 @@ from .wheels import (
     find_cycle_through_edge,
     find_k_wheel,
     is_almost_4_wheel_free,
-    is_k_wheel_free,
     is_wheel_center,
     wheel_centers,
     wm_certificate,
@@ -103,7 +102,7 @@ __all__ = [
     "is_fragment", "ends", "EndBlock", "end_block",
     # wheels
     "Wheel", "WMCertificate", "find_cycle_through", "find_cycle_through_edge",
-    "is_wheel_center", "wheel_centers", "find_k_wheel", "is_k_wheel_free",
+    "is_wheel_center", "wheel_centers", "find_k_wheel",
     "is_almost_4_wheel_free", "wm_certificate",
     # structure
     "TwinPair", "LowDegree", "Stuck", "Coloring", "ColoringResult",

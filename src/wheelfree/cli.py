@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wm-cert", help="cutset certificate that no cycle covers four neighbors")
     add_input(p)
     p.add_argument("--x", type=int, required=True, help="the apex vertex")
-    p.add_argument("--X", "--targets", dest="targets", required=True, metavar="A,B,C,D",
+    p.add_argument("--targets", required=True, metavar="A,B,C,D",
                    help="four neighbors of x, comma separated")
     p.set_defaults(func=cmd_wm_cert)
 

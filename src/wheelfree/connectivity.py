@@ -271,13 +271,11 @@ def extend_fan(g: Graph, fan: Fan, k: int) -> Fan:
     flow, res = _fan_flow(adj, n, fan.origin, ymask, k, fan.paths)
     if flow < k:
         raise TheoremViolationError(
-            f"could not extend a {fan.k}-fan to a {k}-fan in a {k}-connected graph",
-            graph=g,
-        )
+            f"could not extend a {fan.k}-fan to a {k}-fan in a {k}-connected graph")
     paths = _extract_fan_paths(res, adj, n, fan.origin, ymask)
     out = Fan(origin=fan.origin, targets=fan.targets, paths=tuple(paths))
     if not set(fan.endpoints) <= set(out.endpoints):
-        raise TheoremViolationError("fan extension dropped an endpoint", graph=g)
+        raise TheoremViolationError("fan extension dropped an endpoint")
     return out
 
 
@@ -430,7 +428,5 @@ def end_block(g: Graph, f: VertexSet) -> EndBlock:
     block = _end_block(g, fmask)
     if fmask.bit_count() >= 2 and vertex_connectivity(block.graph) < kappa + 1:
         raise TheoremViolationError(
-            "end block of a non-trivial end is not more connected than the graph",
-            graph=g,
-        )
+            "end block of a non-trivial end is not more connected than the graph")
     return block

@@ -45,13 +45,9 @@ class TheoremViolationError(ToolkitError):
     """A guaranteed structural property failed to materialize.
 
     This is the counterexample channel: it must never fire on valid
-    inputs, and if it does the offending graph is attached so it can be
-    reported rather than swallowed.
+    inputs.  It carries only its message; the reporter that called the
+    checker already holds the graph and reports the message against it.
     """
-
-    def __init__(self, message: str, graph=None):
-        super().__init__(message)
-        self.graph = graph
 
 
 class CertificateError(ToolkitError):

@@ -229,7 +229,7 @@ def detect_format(text) -> str:
         fields = line.split()
         if fields[0] in ("c", "e") or (fields[0] == "p" and len(fields) >= 2):
             return "dimacs"
-        if len(fields) == 2 and all(f.lstrip("-").isdigit() for f in fields):
+        if fields[0].lstrip("-").isdigit():  # graph6 bytes are 63..126
             return "edgelist"
         return "graph6"
     return "graph6"

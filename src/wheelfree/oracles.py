@@ -49,8 +49,9 @@ def _check_budget(g: Graph, what: str, budget: int = ORACLE_BUDGET) -> None:
 # -------------------------------------------------------------------------
 
 
-def _colorable(adj: tuple[int, ...], order: list[int], k: int) -> list[int] | None:
-    """Backtracking k-colorability along ``order``; first vertex symmetry-broken."""
+def _colorable(adj: tuple[int, ...], order: list[int], k: int) -> bool:
+    """Whether the masks are k-colorable, by backtracking along ``order``;
+    first vertex symmetry-broken."""
     n = len(order)
     colors = {}
 
@@ -76,9 +77,7 @@ def _colorable(adj: tuple[int, ...], order: list[int], k: int) -> list[int] | No
             del colors[v]
         return False
 
-    if rec(0, 0):
-        return [colors[v] for v in sorted(colors)]
-    return None
+    return rec(0, 0)
 
 
 def brute_chromatic_number(g: Graph) -> int:
@@ -97,7 +96,7 @@ def brute_chromatic_number(g: Graph) -> int:
             clique |= 1 << v
     lb = clique.bit_count()
     for k in range(max(lb, 2), g.n + 1):
-        if _colorable(adj, order, k) is not None:
+        if _colorable(adj, order, k):
             return k
     return g.n
 

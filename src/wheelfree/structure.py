@@ -83,15 +83,16 @@ def _twins(adj: tuple[int, ...], live: int) -> tuple[int, int] | None:
     return None
 
 
-def _witness(g: Graph, live: int, k: int) -> ReductionWitness:
-    """The reduction step on G[live]: the first vertex with at most k-1
-    neighbors in ``live``, else the first twin pair, else Stuck with a
-    k-wheel of G[live] in g's own ids, else TheoremViolationError.
+def _witness(adj: tuple[int, ...], live: int, k: int) -> ReductionWitness:
+    """The reduction step on the subgraph that the adjacency masks ``adj``
+    induce on ``live``: the first vertex with at most k-1 neighbors in
+    ``live``, else the first twin pair, else Stuck with a k-wheel of that
+    subgraph in the masks' own ids, else TheoremViolationError.
 
-    The wheel search runs on g with the rows outside ``live`` emptied and
-    the rest masked to ``live``, so removed vertices cannot be on a wheel.
+    The wheel search runs on the masks with the rows outside ``live``
+    emptied and the rest masked to ``live``, so removed vertices cannot be
+    on a wheel.
     """
-    adj = g.masks
     m = live
     while m:
         b = m & -m
@@ -102,13 +103,12 @@ def _witness(g: Graph, live: int, k: int) -> ReductionWitness:
     tw = _twins(adj, live)
     if tw is not None:
         return TwinPair(u=tw[0], v=tw[1])
-    wheel = find_k_wheel(Graph._of(g.n, (row & live if live >> v & 1 else 0
-                                         for v, row in enumerate(adj))), k)
+    wheel = find_k_wheel(Graph._of(len(adj), (row & live if live >> v & 1 else 0
+                                              for v, row in enumerate(adj))), k)
     if wheel is not None:
         return Stuck(wheel=wheel)
     raise TheoremViolationError(
-        f"graph with min degree > {k - 1} and no twins contains no {k}-wheel", graph=g
-    )
+        f"graph with min degree > {k - 1} and no twins contains no {k}-wheel")
 
 
 def find_twins(g: Graph) -> tuple[int, int] | None:
@@ -121,13 +121,14 @@ def reduction_witness(g: Graph, k: int = 4) -> ReductionWitness:
 
     For k-wheel-free inputs one of the first two always exists; if no
     witness of any kind can be produced the impossible has happened and
-    TheoremViolationError carries the graph out as a counterexample.
+    TheoremViolationError is raised for the caller, which holds g, to
+    report as a counterexample.
     """
     if k not in (3, 4):
         raise GraphError("reduction modes are k=3 and k=4")
     if g.n < 1:
         raise GraphError("reduction needs at least one vertex")
-    return _witness(g, (1 << g.n) - 1, k)
+    return _witness(g.masks, (1 << g.n) - 1, k)
 
 
 # -------------------------------------------------------------------------
@@ -189,7 +190,7 @@ def color4(g: Graph) -> ColoringResult:
     live = (1 << n) - 1
     trace = []
     while live:
-        w = _witness(g, live, 4)
+        w = _witness(adj, live, 4)
         if isinstance(w, LowDegree):
             live &= ~(1 << w.vertex)
         elif isinstance(w, TwinPair):
@@ -278,8 +279,6 @@ def _check_coloring(g: Graph) -> tuple:
         result.coloring.validate(g)
     except CertificateError as exc:
         return VerifyStatus.COUNTEREXAMPLE, f"improper coloring: {exc}"
-    if result.coloring.colors_used > 4:
-        return VerifyStatus.COUNTEREXAMPLE, f"{result.coloring.colors_used} colors used"
     chi = brute_chromatic_number(g)
     if chi > 4:
         return VerifyStatus.COUNTEREXAMPLE, f"oracle chromatic number {chi} > 4"
@@ -378,7 +377,7 @@ def _check_triangle_centers(g: Graph) -> tuple:
         return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     adj = g.masks
     in_triangle = [v for v in g.vertices()
-                   if any(adj[u] & adj[v] & ~((1 << u) | (1 << v)) for u in bits(adj[v]))]
+                   if any(adj[u] & adj[v] for u in bits(adj[v]))]
     if not in_triangle:
         return VerifyStatus.PASS, "triangle-free (vacuous)"
     missing = [v for v in in_triangle if is_wheel_center(g, v, 4) is None]

@@ -204,10 +204,6 @@ def find_k_wheel(g: Graph, k: int) -> Wheel | None:
     return None
 
 
-def is_k_wheel_free(g: Graph, k: int) -> bool:
-    return find_k_wheel(g, k) is None
-
-
 def _almost_4_wheel_free_check(g: Graph) -> tuple[bool, tuple[int, ...]]:
     """(verdict, centers found); bails out once four centers exist."""
     centers = tuple(islice(_centers(g, 4), 4))
@@ -304,7 +300,5 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
     # guarantee regime: with g - x 3-connected a certificate must exist
     gx, _ = induced_subgraph(g, [v for v in g.vertices() if v != x])
     if vertex_connectivity(gx) >= 3:
-        raise TheoremViolationError(
-            "no scattering cutset found although one is guaranteed", graph=g
-        )
+        raise TheoremViolationError("no scattering cutset found although one is guaranteed")
     return None

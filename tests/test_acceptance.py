@@ -19,6 +19,7 @@ from wheelfree import (
     brute_chromatic_number,
     brute_has_k_wheel,
     brute_vertex_connectivity,
+    canonical_form,
     complete,
     complete_bipartite,
     curated_pool,
@@ -408,6 +409,47 @@ def test_criterion_05b_kappa3_ends_without_centers(survey):
     if failures:
         detail += " :: " + "; ".join(failures)
     _report("5b", not failures, detail)
+
+
+def _expand(g, v):
+    """Replace the degree-3 vertex v by a triangle (v, n, n+1) whose
+    vertices take v's old neighbors one each, in order; returns the graph
+    and the new triangle."""
+    a, b, c = g.neighbors(v)
+    n = g.n
+    edges = [e for e in g.edges() if v not in e]
+    edges += [(v, a), (n, b), (n + 1, c), (v, n), (v, n + 1), (n, n + 1)]
+    return Graph(n + 2, edges), (v, n, n + 1)
+
+
+def test_criterion_05c_thm45_triangle_expansion_family():
+    """The thm-4.5 refutation of 5b is not isolated.  Start from K_{3,3}
+    with parts {0,1,2}, {3,4,5} plus the edge 3-4, replace vertex 5 by a
+    triangle, then keep replacing each vertex of the newest triangle.  Every
+    member up to n = 12 is 4-wheel-free, keeps {3,4} as an end without a
+    4-wheel center and is a counterexample by the checker and by
+    ``_brute_thm45_status``.  The members fall into one isomorphism class
+    at n = 8, one at n = 10 and two at n = 12.  Expanding vertex 0 of the
+    other part instead gives a pass."""
+    k33e = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)] + [(3, 4)])
+    levels = [[_expand(k33e, 5)]]
+    while levels[-1][0][0].n < 12:
+        levels.append([_expand(g, t) for g, tri in levels[-1] for t in tri])
+    members = [g for level in levels for g, _ in level]
+    classes = {level[0][0].n: sorted({to_graph6(canonical_form(g)) for g, _ in level})
+               for level in levels}
+    counts = [len(level) for level in levels]
+    bad = [to_graph6(g) for g in members
+           if brute_has_k_wheel(g, 4) is not None
+           or (3, 4) not in ends(g)
+           or verify_statement(g, "thm-4.5").status is not VerifyStatus.COUNTEREXAMPLE
+           or _brute_thm45_status(g) is not VerifyStatus.COUNTEREXAMPLE]
+    other = verify_statement(_expand(k33e, 0)[0], "thm-4.5").status
+    ok = (counts == [1, 3, 9] and not bad and other is VerifyStatus.PASS and classes == {
+        8: ["GxQ?w{"], 10: ["Iyc_O_F@w"], 12: ["KloPGOA@?B_N", "K{S_gOC?_B_N"]})
+    _report("5c", ok, f"triangle expansions of K_{{3,3}}+e: members per level {counts}, "
+                      f"classes {classes}, not counterexamples {bad}, "
+                      f"expanding vertex 0 gives {other.value}")
 
 
 def test_criterion_06_kappa2_structure(survey):

@@ -151,6 +151,19 @@ def test_color4_malformed_input(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text, err", [
+    ("3 2 1\n", "error: malformed header '3 2 1' (at offset 1)\n"),
+    ("5\n", "error: malformed header '5' (at offset 1)\n"),
+    ("3 x\n", "error: non-integer header '3 x' (at offset 1)\n"),
+])
+def test_integer_first_field_is_an_edge_list(capsys, tmp_path, text, err):
+    """graph6 bytes are 63..126, so a first field that is an integer makes
+    the input an edge list, and a bad header gets the edge-list message."""
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    assert run(capsys, "kappa", str(f)) == (EXIT_USAGE, "", err)
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "kappa", "/nonexistent/file.g6")
     assert code == EXIT_USAGE
@@ -198,13 +211,10 @@ def test_wm_cert_cli(capsys, tmp_path):
 
     f = tmp_path / "k44.g6"
     f.write_text(to_graph6(complete_bipartite(4)) + "\n")
-    code, out, _ = run(capsys, "wm-cert", str(f), "--x", "4", "--X", "0,1,2,3")
+    code, out, _ = run(capsys, "wm-cert", str(f), "--x", "4", "--targets", "0,1,2,3")
     assert code == EXIT_OK
     assert "certificate: watkins-mesner" in out
     assert "cutset: 5 6 7" in out
-    # --targets is an accepted alias for --X
-    code, out, _ = run(capsys, "wm-cert", str(f), "--x", "4", "--targets", "0,1,2,3")
-    assert code == EXIT_OK
 
 
 def test_wm_cert_cli_no_certificate(capsys, tmp_path):
@@ -276,7 +286,7 @@ def test_per_graph_theorem_violation_is_a_counterexample(capsys, tmp_path, monke
     from wheelfree.errors import TheoremViolationError
 
     def violated(g, *_):
-        raise TheoremViolationError(f"{target} failed on purpose", graph=g)
+        raise TheoremViolationError(f"{target} failed on purpose")
 
     monkeypatch.setattr(cli, target, violated)
     f = tmp_path / "k5.g6"
@@ -605,7 +615,7 @@ step 1: low-degree remove=0 bound=3
 summary: graphs=5
 status: ok
 """,
-    ("wm-cert", "k44.g6", "--x", "4", "--X", "0,1,2,3"): r"""report: wm-cert
+    ("wm-cert", "k44.g6", "--x", "4", "--targets", "0,1,2,3"): r"""report: wm-cert
 version: 0.1.0
 input: k44.g6
 
@@ -740,7 +750,7 @@ def test_theorem_violation_lands_in_bundle(capsys, tmp_path, monkeypatch):
     from wheelfree.structure import verify_statement
 
     def broken_color4(g):
-        raise TheoremViolationError("reduction stuck on purpose", graph=g)
+        raise TheoremViolationError("reduction stuck on purpose")
 
     monkeypatch.setattr(structure, "color4", broken_color4)
     result = verify_statement(cycle(5), "cor-1.5")
@@ -782,7 +792,7 @@ _input_bytes = st.one_of(
               st.integers(-1, 9), _small_edges),
 )
 _PER_GRAPH = (["color4", "--emit-trace"], ["wheel", "--k", "4"], ["kappa"], ["ends"],
-              ["wm-cert", "--x", "0", "--X", "1,2,3,4"])
+              ["wm-cert", "--x", "0", "--targets", "1,2,3,4"])
 _FILTERS = ("min-degree=2", "connectivity-at-least=2", "wheel-free=4", "wheel-free=2",
             "min-degree=x")
 

@@ -131,6 +131,24 @@ def test_extend_fan_rejects_underconnected():
         extend_fan(cycle(5), Fan(origin=0, targets=(1, 2, 3), paths=((0, 1),)), 3)
 
 
+def test_extend_fan_violations_are_their_messages(monkeypatch):
+    import wheelfree.connectivity
+
+    # both guarantees of extend_fan fail only if the flow does; fake it
+    g = complete_bipartite(4)
+    given = find_k_fan(g, 0, [4, 5, 6, 7], 2)
+    monkeypatch.setattr(wheelfree.connectivity, "_fan_flow", lambda *a: (0, None))
+    with pytest.raises(TheoremViolationError) as exc:
+        extend_fan(g, given, 3)
+    assert str(exc.value) == "could not extend a 2-fan to a 3-fan in a 3-connected graph"
+    monkeypatch.setattr(wheelfree.connectivity, "_fan_flow", lambda *a: (3, None))
+    monkeypatch.setattr(wheelfree.connectivity, "_extract_fan_paths",
+                        lambda *a: [(0, 5), (0, 6), (0, 7)])
+    with pytest.raises(TheoremViolationError) as exc:
+        extend_fan(g, given, 3)
+    assert str(exc.value) == "fan extension dropped an endpoint"
+
+
 def test_fan_validation_catches_bad_paths():
     from wheelfree.errors import CertificateError
 

@@ -263,6 +263,9 @@ def test_detect_format():
     assert detect_format("c comment\np edge 3 0\n") == "dimacs"
     assert detect_format("3 1\n0 1\n") == "edgelist"
     assert detect_format("# triangle\n3 3\n0 1\n1 2\n0 2\n") == "edgelist"
+    # graph6 bytes are 63..126: an integer first field is always an edge list
+    for text in ("3 2 1\n", "5\n", "3 x\n", "-1 0\n"):
+        assert detect_format(text) == "edgelist"
     assert read_graphs("# triangle\n3 3\n0 1\n1 2\n0 2\n") == [complete(3)]
 
 

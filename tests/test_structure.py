@@ -342,7 +342,7 @@ def test_verify_witness_violation_detail_is_the_message(monkeypatch):
     import wheelfree.structure
 
     def violated(g, k):
-        raise TheoremViolationError(f"no {k}-witness on purpose", graph=g)
+        raise TheoremViolationError(f"no {k}-witness on purpose")
 
     monkeypatch.setattr(wheelfree.structure, "reduction_witness", violated)
     for statement, k in (("thm-4.8", 4), ("thm-1.1", 3)):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from wheelfree import (
     Graph,
     GraphError,
+    TheoremViolationError,
     complete,
     complete_bipartite,
     cycle,
@@ -14,7 +15,6 @@ from wheelfree import (
     find_k_wheel,
     induced_subgraph,
     is_almost_4_wheel_free,
-    is_k_wheel_free,
     is_wheel_center,
     parse_graph6,
     petersen,
@@ -142,8 +142,8 @@ def test_wheel_centers():
 
 
 def test_k_wheel_free():
-    assert is_k_wheel_free(complete(4), 4)
-    assert is_k_wheel_free(tight_example(4), 4)
+    assert find_k_wheel(complete(4), 4) is None
+    assert find_k_wheel(tight_example(4), 4) is None
     w = find_k_wheel(complete(5), 4)
     assert w is not None
     w.validate(complete(5), 4)
@@ -282,6 +282,16 @@ def test_wm_none_when_no_cutset_scatters():
     # x = 0: the one candidate cutset (1, 6, 7) leaves targets together,
     # and g - x is not 3-connected, so no certificate is owed
     assert wm_certificate(parse_graph6("GSz?_o"), 0, [2, 3, 4, 5]) is None
+
+
+def test_wm_guarantee_violation_is_its_message(monkeypatch):
+    import wheelfree.wheels
+
+    # K_{4,4} - 4 is 3-connected, so coming up empty is a theorem violation
+    monkeypatch.setattr(wheelfree.wheels, "combinations", lambda *a: iter(()))
+    with pytest.raises(TheoremViolationError) as exc:
+        wm_certificate(complete_bipartite(4), 4, [0, 1, 2, 3])
+    assert str(exc.value) == "no scattering cutset found although one is guaranteed"
 
 
 def test_wm_validation_catches_bad_cutset():
