@@ -140,8 +140,20 @@ def cmd_wm_cert(args) -> int:
     except ValueError:
         raise GraphError(f"--targets must be comma-separated vertex ids, "
                          f"got {args.targets!r}") from None
+    # what no graph can meet is refused once; a graph that lacks x or a
+    # target gets its own line and the report goes on
+    ids = [args.x, *targets]
+    if min(ids) < 0:
+        raise GraphError(f"vertex {min(ids)} out of range")
+    if len(targets) != 4 or len(set(targets)) != 4:
+        raise GraphError("exactly four target vertices are required")
+    if args.x in targets:
+        raise GraphError("x must not be one of the targets")
 
     def report(g, out):
+        if max(ids) >= g.n:
+            out.append("status: no-such-vertex")
+            return
         cert = wm_certificate(g, args.x, targets)
         if cert is None:
             out.append("status: no-certificate")

@@ -4,11 +4,20 @@ The oracles here deliberately share no search code with the fast paths
 they cross-check: connectivity is settled by enumerating cutsets,
 fragments by a scan of every vertex subset, wheels by enumerating all
 cycles, colorability by plain backtracking.
+
+Pools stream their graphs in a fixed order.  An exhaustive pool walks
+the edge codes 0, 1, 2, ... (``Graph.from_edge_code``'s pair order); a
+dedup pool lists one class representative each, by edge count and then
+edge code.  Random graph i takes draws i*C(n,2) .. (i+1)*C(n,2) - 1 of
+splitmix64(seed), and pair k is an edge when that draw's top 53 bits,
+as a fraction, are below p.  Filters drop graphs from these streams.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
+from operator import xor
 from typing import Callable, Iterator
 
 from . import generators as gen
@@ -214,28 +223,6 @@ def brute_fragments(g: Graph) -> list[tuple[int, ...]]:
 # -------------------------------------------------------------------------
 
 
-class SplitMix64:
-    """splitmix64: a tiny public-domain PRNG with stable cross-platform
-    output (increment 0x9E3779B97F4A7C15; mix constants
-    0xBF58476D1CE4E5B9 and 0x94D049BB133111EB)."""
-
-    _MASK = (1 << 64) - 1
-
-    def __init__(self, seed: int):
-        self._state = seed & self._MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return z ^ (z >> 31)
-
-    def random(self) -> float:
-        """Uniform in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) / (1 << 53)
-
-
 # descriptor key -> predicate(graph, value), in the order the filters run
 # (cheap before expensive) and print; the keyword argument of
 # ``enumerate_graphs`` and ``random_pool`` is the key with "_" for "-"
@@ -311,15 +298,30 @@ def enumerate_graphs(n: int, *, min_degree: int | None = None,
 
         return GraphPool(f"exhaustive:n={n},dedup{suffix}", factory)
 
-    total = 1 << (n * (n - 1) // 2)
-
     def factory() -> Iterator[Graph]:
-        for code in range(total):
-            g = Graph.from_edge_code(n, code)
+        for g in _labeled_graphs(n):
             if accept(g):
                 yield g
 
     return GraphPool(f"exhaustive:n={n}{suffix}", factory)
+
+
+def _labeled_graphs(n: int) -> Iterator[Graph]:
+    """Every labeled graph on n vertices in edge-code order.  The step from
+    code c - 1 to c flips pairs 0..t, t the index of c's lowest set bit,
+    so each step XORs one precomputed row list into the rows."""
+    flips = []
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            flips.append(tuple(rows))
+    adj = (0,) * n
+    yield Graph._of(n, adj)
+    for code in range(1, 1 << len(flips)):
+        adj = tuple(map(xor, adj, flips[(code & -code).bit_length() - 1]))
+        yield Graph._of(n, adj)
 
 
 _iso_classes_cache: dict[int, list[Graph]] = {}
@@ -351,6 +353,52 @@ def _nonisomorphic_graphs(n: int) -> list[Graph]:
     return reps
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
+# most draws made at once: it bounds each lane int at 32 KiB whatever n
+# is, and one pass still draws a whole graph up to n = 64
+_LANES = 2048
+
+
+def _edge_codes(n: int, p: float, seed: int) -> Iterator[int]:
+    """Edge codes of G(n, p) graphs from splitmix64(seed): graph i takes
+    draws i*P .. (i+1)*P - 1, P = C(n, 2), and pair k is an edge when its
+    draw's top 53 bits, as a fraction, are below p.
+
+    Up to _LANES draws are made at once, draw k of a pass in the 128-bit
+    lane k of one int.  Each lane is masked back to 64 bits after every
+    sum, right shift and product, so no bit crosses into another lane."""
+    npairs = n * (n - 1) // 2
+    width = min(npairs, _LANES) or 1  # a pass of one lane when n < 2, as range needs a step
+    # the lane constants are built in time linear in the lanes
+    ones = ((1 << 128 * width) - 1) // ((1 << 128) - 1)  # 1 in every lane
+    low = ones * _MASK64
+    # (z >> 11) / 2**53 < p exactly when z >> 11 < ceil(p * 2**53), both
+    # sides being exact doubles, that is when bit 64 of
+    # 2**64 + ceil(p * 2**53) - 1 - (z >> 11) is set
+    bound = ones * ((1 << 64) + math.ceil(p * (1 << 53)) - 1)
+    verdicts = ones << 64
+    # an ASCII "0" over each verdict bit and one more lane above them all:
+    # bytes 7, 23, 39, ... of the big-endian int spell the pass's draws in binary
+    digits = (ones | 1 << 128 * width) * (0x30 << 64)
+    # lane j holds j + 1 increments, so adding seed + d increments to
+    # every lane gives the states of draws d, d + 1, ...
+    ramp = int.from_bytes(b"".join((k * _GOLDEN & _MASK64).to_bytes(16, "little")
+                                   for k in range(1, width + 1)), "little")
+    first = 0  # the draw of the graph's pair 0
+    while True:
+        code = 0
+        for k in range(0, npairs, width):
+            z = (ramp + ones * (seed + (first + k) * _GOLDEN & _MASK64)) & low
+            z = (z ^ (z >> 30 & low)) * 0xBF58476D1CE4E5B9 & low
+            z = (z ^ (z >> 27 & low)) * 0x94D049BB133111EB & low
+            z = (z ^ (z >> 31 & low)) >> 11 & low
+            spelled = (bound - z) & verdicts | digits
+            code |= int(spelled.to_bytes(16 * width + 16, "big")[7::16], 2) << k
+        yield code & ((1 << npairs) - 1)  # a last pass's draws past P are dropped
+        first += npairs
+
+
 # A filtered random pool gives up after this many rejected draws in a row,
 # so a filter that no draw can pass ends in a GraphError, not a hang.
 MAX_REJECTED_DRAWS = 10_000
@@ -370,16 +418,11 @@ def random_pool(n: int, p: float, seed: int, count: int, *,
     accept, suffix = _pool_filter(min_degree, connectivity_at_least, wheel_free)
 
     def factory() -> Iterator[Graph]:
-        rng = SplitMix64(seed)
         emitted = 0
         rejected = 0
-        npairs = n * (n - 1) // 2
+        codes = _edge_codes(n, p, seed)
         while emitted < count:
-            code = 0
-            for k in range(npairs):
-                if rng.random() < p:
-                    code |= 1 << k
-            g = Graph.from_edge_code(n, code)
+            g = Graph.from_edge_code(n, next(codes))
             if accept(g):
                 emitted += 1
                 rejected = 0

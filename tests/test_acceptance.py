@@ -49,11 +49,6 @@ from wheelfree.wheels import is_cycle
 N7_CODES = 1 << 21
 
 
-def _labeled_graphs(n):
-    for code in range(1 << (n * (n - 1) // 2)):
-        yield Graph.from_edge_code(n, code)
-
-
 def _report(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} ({detail})"
     print("\n" + line, flush=True)
@@ -95,7 +90,7 @@ def survey():
     s = Survey()
     started = time.perf_counter()
     for n in range(1, 8):
-        for g in _labeled_graphs(n):
+        for g in enumerate_graphs(n):
             s.total += 1
             kf = vertex_connectivity(g)
             kb = brute_vertex_connectivity(g)
@@ -141,7 +136,7 @@ def test_criterion_01_reduction_exhaustive_n7():
     started = time.perf_counter()
     counts = {status: 0 for status in VerifyStatus}
     violations = 0
-    for g in _labeled_graphs(7):
+    for g in enumerate_graphs(7):
         r = verify_statement(g, "thm-4.8")
         counts[r.status] += 1
         if r.violated:
@@ -168,7 +163,7 @@ def test_criterion_02_coloring_exhaustive_n7():
     colored = 0
     skipped = 0
     violations = 0
-    for g in _labeled_graphs(7):
+    for g in enumerate_graphs(7):
         r = verify_statement(g, "cor-1.5")
         if r.status is VerifyStatus.PASS:
             colored += 1
@@ -197,7 +192,7 @@ def test_criterion_03_three_wheel_reduction():
     violations = 0
     total = 0
     for n in range(1, 8):
-        for g in _labeled_graphs(n):
+        for g in enumerate_graphs(n):
             total += 1
             r = verify_statement(g, "thm-1.1")
             counts[r.status] += 1
@@ -377,7 +372,7 @@ def test_criterion_05b_kappa3_ends_without_centers(survey):
         failures.append(f"(b) spurious counterexamples {spurious[:8]}")
 
     # (c) no counterexample is missed
-    labeled = [g for n in range(1, 7) for g in _labeled_graphs(n)]
+    labeled = [g for n in range(1, 7) for g in enumerate_graphs(n)]
     classes7 = list(enumerate_graphs(7, dedup=True))
     disagreements = []
     for g in labeled + classes7:
@@ -717,7 +712,7 @@ def test_criterion_10_parsers_and_counts():
     checked = 0
     bad = 0
     for n in range(1, 7):
-        for g in _labeled_graphs(n):
+        for g in enumerate_graphs(n):
             checked += 1
             if parse_graph6(to_graph6(g)) != g:
                 bad += 1

@@ -247,6 +247,50 @@ def test_wm_cert_bad_targets_exit_usage(capsys, tmp_path):
     assert "'4,5,a'" in err
 
 
+def test_wm_cert_reports_a_graph_without_x_or_a_target_and_goes_on(capsys, tmp_path):
+    # the empty graph has no vertex 4; K_{4,4} then gets its golden lines
+    f = tmp_path / "two.g6"
+    f.write_text("?\nG?~vf_\n")
+    assert run(capsys, "wm-cert", str(f), "--x", "4", "--targets", "0,1,2,3") == (EXIT_OK, f"""\
+report: wm-cert
+version: 0.1.0
+input: {f}
+
+graph 1: ?
+status: no-such-vertex
+
+graph 2: G?~vf_
+status: certified
+certificate: watkins-mesner
+x: 4
+targets: 0 1 2 3
+cutset: 5 6 7
+component 0: 0
+component 1: 1
+component 2: 2
+component 3: 3
+
+summary: graphs=2
+status: ok
+""", "")
+
+
+@pytest.mark.parametrize("x, targets, message", [
+    ("-1", "0,1,2,3", "vertex -1 out of range"),
+    ("4", "0,1,2,-3", "vertex -3 out of range"),
+    ("4", "0,1,2", "exactly four target vertices are required"),
+    ("4", "0,1,2,3,5", "exactly four target vertices are required"),
+    ("4", "0,1,1,2", "exactly four target vertices are required"),
+    ("1", "0,1,2,3", "x must not be one of the targets"),
+])
+def test_wm_cert_argument_errors_exit_usage_once(capsys, tmp_path, x, targets, message):
+    # no graph could meet these, so they stop the command before any report
+    f = tmp_path / "two.g6"
+    f.write_text("?\nG?~vf_\n")
+    assert run(capsys, "wm-cert", str(f), f"--x={x}", "--targets", targets) == (
+        EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_verify_ok_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "thm-4.8", "--pool", "exhaustive:n=4")
     assert code == EXIT_OK

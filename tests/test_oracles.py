@@ -1,5 +1,7 @@
 """Brute-force oracles and graph pools."""
 
+from itertools import islice
+
 import pytest
 
 from wheelfree import (
@@ -18,7 +20,9 @@ from wheelfree import (
     random_pool,
     tight_example,
 )
-from wheelfree.oracles import SplitMix64, curated_pool
+from wheelfree import oracles
+from wheelfree.connectivity import vertex_connectivity
+from wheelfree.oracles import _edge_codes, curated_pool
 
 
 # -- chromatic number ---------------------------------------------------------
@@ -113,7 +117,58 @@ def test_enumeration_rejects_large():
         enumerate_graphs(9)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_labeled_pool_is_edge_code_order(n):
+    # the gate of the row-flipping walk: graph c of the pool is edge code c
+    walked = mismatched = 0
+    for code, g in enumerate(enumerate_graphs(n)):
+        walked += 1
+        if g != Graph.from_edge_code(n, code):
+            mismatched += 1
+    assert (walked, mismatched) == (1 << (n * (n - 1) // 2), 0)
+
+
+def test_labeled_pool_graphs_stay_as_yielded():
+    # graphs held while the walk goes on keep their rows
+    assert list(enumerate_graphs(5)) == [Graph.from_edge_code(5, c) for c in range(1 << 10)]
+
+
 # -- random pools ----------------------------------------------------------------------
+
+
+class SplitMix64:
+    """splitmix64 one draw at a time, the reference for the pools' draws:
+    a tiny public-domain PRNG with stable cross-platform output
+    (increment 0x9E3779B97F4A7C15; mix constants 0xBF58476D1CE4E5B9 and
+    0x94D049BB133111EB)."""
+
+    _MASK = (1 << 64) - 1
+
+    def __init__(self, seed: int):
+        self._state = seed & self._MASK
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & self._MASK
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
+        return z ^ (z >> 31)
+
+    def random(self) -> float:
+        """Uniform in [0, 1) with 53 bits of precision."""
+        return (self.next_u64() >> 11) / (1 << 53)
+
+
+def _reference_codes(n, p, seed):
+    """Edge codes drawn one pair at a time: pair k is an edge when its
+    draw is below p."""
+    rng = SplitMix64(seed)
+    while True:
+        code = 0
+        for k in range(n * (n - 1) // 2):
+            if rng.random() < p:
+                code |= 1 << k
+        yield code
 
 
 def test_splitmix64_known_values():
@@ -121,6 +176,45 @@ def test_splitmix64_known_values():
     rng = SplitMix64(0)
     assert rng.next_u64() == 0xE220A8397B1DCDAF
     assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+# (n, p, seed, graphs): edge cases of n and p, a p whose p * 2**53 is no
+# integer, n = 41 as in criterion 10, the random-dense bench pools and
+# n = 65, whose 2,080 pairs take two passes of draws
+_DRAW_GRID = [(n, p, seed, 40) for n in (1, 2, 3, 7) for p in (0.0, 1.0, 0.15, 0.5)
+              for seed in (0, 1, -1, (1 << 64) + 5)]
+_DRAW_GRID += [(41, p, 7041, 12) for p in (0.0, 0.3, 0.9999999999999999, 1.0)]
+_DRAW_GRID += [(10, 0.5, 1001, 300), (10, 0.6, 1002, 300), (11, 0.5, 1003, 300),
+               (11, 5e-324, 3, 50), (12, 1 / 3, 1 << 63, 50), (65, 0.5, 6500, 4)]
+
+
+@pytest.mark.parametrize("n,p,seed,graphs", _DRAW_GRID)
+def test_edge_codes_equal_scalar_draws(n, p, seed, graphs):
+    assert list(islice(_edge_codes(n, p, seed), graphs)) == \
+        list(islice(_reference_codes(n, p, seed), graphs))
+
+
+@pytest.mark.parametrize("lanes", [1, 4, 7])
+def test_edge_codes_in_several_passes(monkeypatch, lanes):
+    # a graph with more pairs than lanes is drawn in passes, the last
+    # one partly used
+    monkeypatch.setattr(oracles, "_LANES", lanes)
+    for n, p, seed in ((1, 0.5, 1), (3, 0.5, 2), (5, 0.3, 9), (7, 0.65, -4)):
+        assert list(islice(_edge_codes(n, p, seed), 30)) == \
+            list(islice(_reference_codes(n, p, seed), 30))
+
+
+@pytest.mark.parametrize("n,p,seed", [(8, 0.65, 801), (9, 0.60, 901), (10, 0.55, 1001)])
+def test_filtered_random_pool_equals_scalar_draws(n, p, seed):
+    # criterion 4c's pools: rejected graphs consume their draws too
+    want = []
+    for code in _reference_codes(n, p, seed):
+        g = Graph.from_edge_code(n, code)
+        if vertex_connectivity(g) >= 4:
+            want.append(g)
+            if len(want) == 3400:
+                break
+    assert list(random_pool(n, p, seed, 3400, connectivity_at_least=4)) == want
 
 
 def test_random_pool_reproducible():

@@ -11,7 +11,9 @@ n = 8..16 for the rest.  Graphs are built from edge lists with the
 inputs; an exception is hashed as its type and message.  ``color4`` is
 hashed as the certificates it renders to, the text it shows the world,
 so a change of its result types that keeps that text keeps the line.
-Stdlib only.
+The ``pools`` family instead hashes the graph6 stream of each of the
+pool descriptors in ``POOLS``, so it pins the order and the draws of
+exhaustive and random pools.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from wheelfree import (
     enumerate_graphs,
     induced_subgraph,
     parse_graph6,
+    parse_pool_descriptor,
     reduction_witness,
     relabel,
     to_graph6,
@@ -107,6 +110,22 @@ FAMILIES = (
 )
 
 
+# every labeled n=6 graph, n=5 under each filter, the random-dense bench
+# pools of seed 1 and the filtered pools of acceptance criterion 4c
+POOLS = (
+    "exhaustive:n=6",
+    "exhaustive:n=5,min-degree=2",
+    "exhaustive:n=5,connectivity-at-least=2",
+    "exhaustive:n=5,wheel-free=4",
+    "random:n=10,p=0.5,seed=1001,count=1500",
+    "random:n=10,p=0.6,seed=1002,count=1500",
+    "random:n=11,p=0.5,seed=1003,count=1500",
+    "random:n=8,p=0.65,seed=801,count=3400,connectivity-at-least=4",
+    "random:n=9,p=0.6,seed=901,count=3400,connectivity-at-least=4",
+    "random:n=10,p=0.55,seed=1001,count=3400,connectivity-at-least=4",
+)
+
+
 def main() -> None:
     for name, family, count, hi, seed in FAMILIES:
         rnd = random.Random(seed)
@@ -114,6 +133,12 @@ def main() -> None:
         for g in chain(small(), seeded(count, 8, hi, seed)):
             digest.update(f"{to_graph6(g)} {family(g, rnd)!r}\n".encode())
         print(name, digest.hexdigest(), flush=True)
+    digest = hashlib.sha256()
+    for descriptor in POOLS:
+        digest.update(f"{descriptor}\n".encode())
+        for g in parse_pool_descriptor(descriptor):
+            digest.update(f"{to_graph6(g)}\n".encode())
+    print("pools", digest.hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
