@@ -6,7 +6,8 @@ flow, ``_fan_flow``: the connectivity between non-adjacent s and t is the
 largest fan from s into N(t), and an end is the closest minimum cut of
 such a flow (Picard & Queyranne, "On the structure of all minimum cuts
 in a network", Math. Prog. Study 1980), found in polynomial time at any
-size.
+size.  ``vertex_connectivity`` runs a flow only for a pair whose short
+fan paths (``_short_fan``) cannot settle it, and starts it from them.
 """
 
 from __future__ import annotations
@@ -127,13 +128,40 @@ def _extract_fan_paths(res: list[int], adj: tuple[int, ...], n: int, x: int, yma
     return sorted(paths)
 
 
+def _short_fan(adj: tuple[int, ...], s: int, t: int, cap: int) -> tuple[tuple[int, ...], ...] | None:
+    """Disjoint s -> N(t) fan paths of length 1 or 2 for non-adjacent s, t,
+    packed greedily; None as soon as ``cap`` of them exist.
+
+    Each common neighbour c gives (s, c); then each a in N(s) - N(t) takes
+    the lowest unused b in N(t) - N(s) adjacent to it, giving (s, a, b).
+    The paths share only s and end at distinct targets, so their number is
+    a lower bound on kappa(s, t) and they are a valid partial flow.
+    """
+    common = adj[s] & adj[t]
+    short = common.bit_count()
+    if short >= cap:
+        return None
+    free = adj[t] & ~common
+    hops = []
+    for a in bits(adj[s] & ~adj[t]):
+        m = adj[a] & free
+        if m:
+            short += 1
+            if short >= cap:
+                return None
+            b = m & -m
+            free ^= b
+            hops.append((s, a, b.bit_length() - 1))
+    return tuple((s, c) for c in bits(common)) + tuple(hops)
+
+
 def vertex_connectivity(g: Graph) -> int:
     """The largest k such that g is k-connected.
 
     Complete graphs give n-1 (so a single vertex gives 0) and
-    disconnected graphs give 0.  Exact: every non-adjacent pair is
-    screened, with a common-neighborhood lower bound skipping pairs that
-    cannot lower the running minimum.
+    disconnected graphs give 0.  Exact: every pair of the Esfahanian-Hakimi
+    schedule is screened, and a flow runs only for a pair whose short fan
+    paths fall short of the running minimum, starting from those paths.
     """
     n = g.n
     if n < 1:
@@ -159,11 +187,12 @@ def vertex_connectivity(g: Graph) -> int:
     for s, t in pairs:
         if best <= 1:
             break
-        if (adj[s] & adj[t]).bit_count() >= best:
+        seed = _short_fan(adj, s, t, best)
+        if seed is None:
             continue
         # an s-t path ends at its first vertex of N(t): kappa(s,t) is the
         # largest fan from s into N(t), and t itself is never reached
-        f, _ = _fan_flow(adj, n, s, adj[t], best)
+        f, _ = _fan_flow(adj, n, s, adj[t], best, seed)
         if f < best:
             best = f
     return best

@@ -29,6 +29,7 @@ from wheelfree import (
     TheoremViolationError,
     vertex_connectivity,
 )
+from wheelfree.graph import bits
 
 
 def bowtie() -> Graph:
@@ -64,6 +65,79 @@ def test_vertex_connectivity_matches_oracle_small():
         for code in range(1 << (n * (n - 1) // 2)):
             g = Graph.from_edge_code(n, code)
             assert vertex_connectivity(g) == brute_vertex_connectivity(g), (n, code)
+
+
+def _subcubic(rng: random.Random, n: int) -> Graph:
+    """A Hamiltonian cycle plus a random matching of chords."""
+    order = rng.sample(range(n), n)
+    edges = [(v, (v + 1) % n) for v in range(n)] + list(zip(order[::2], order[1::2]))
+    return Graph(n, sorted({tuple(sorted(e)) for e in edges}))
+
+
+def _seeding_graphs():
+    rng = random.Random(17)
+    for n in (8, 13, 21, 34, 60):
+        for p in (0.05, 0.3, 0.9):
+            yield _gnp(rng, n, p)
+    for n in (8, 21, 60):
+        yield _subcubic(rng, n)
+
+
+def test_short_fan_seeds_are_exact():
+    from wheelfree.connectivity import _extract_fan_paths, _fan_flow, _short_fan
+
+    for g in _seeding_graphs():
+        adj, n = g.masks, g.n
+        for s in range(n):
+            for t in bits((1 << n) - 1 & ~adj[s] & ~(1 << s)):
+                targets = g.neighbors(t)
+                short = _short_fan(adj, s, t, n)  # no fan reaches n paths
+                Fan(origin=s, targets=targets, paths=short).validate(g)
+                assert _short_fan(adj, s, t, len(short)) is None
+                assert _short_fan(adj, s, t, len(short) + 1) == short
+                # the unseeded flow capped at k is min(k, its uncapped value)
+                kappa_st, _ = _fan_flow(adj, n, s, adj[t], n)
+                for cap in range(len(short) + 1, kappa_st + 2):
+                    seeded, res = _fan_flow(adj, n, s, adj[t], cap, short)
+                    assert seeded == min(cap, kappa_st), (g.edge_code(), s, t, cap)
+                paths = tuple(_extract_fan_paths(res, adj, n, s, adj[t]))
+                Fan(origin=s, targets=targets, paths=paths).validate(g)
+                assert len(paths) == kappa_st
+
+
+def _count_flows(monkeypatch, g: Graph, screen=None) -> tuple[int, int]:
+    """``vertex_connectivity(g)`` and the number of flows it runs, optionally
+    with ``_short_fan`` replaced by ``screen``; every flow must start from
+    the paths the screen gave."""
+    import wheelfree.connectivity as conn
+
+    flows = []
+    real = conn._fan_flow
+    monkeypatch.setattr(conn, "_fan_flow", lambda *a: flows.append(a) or real(*a))
+    if screen is not None:
+        monkeypatch.setattr(conn, "_short_fan", screen)
+    kappa = vertex_connectivity(g)
+    monkeypatch.undo()
+    assert all(len(args) == 6 for args in flows)
+    return kappa, len(flows)
+
+
+def _common_neighbours_only(adj, s, t, cap):
+    return None if (adj[s] & adj[t]).bit_count() >= cap else ()
+
+
+def test_short_fans_settle_most_dense_pairs(monkeypatch):
+    # with only the common-neighbour count as a screen, these graphs take
+    # 53 and 94 flows
+    for (n, p), kappa, most, unbounded in (((50, 0.3), 8, 10, 53), ((58, 0.35), 13, 6, 94)):
+        g = _gnp(random.Random(3), n, p)
+        found, flows = _count_flows(monkeypatch, g)
+        assert found == kappa and flows <= most
+        assert _count_flows(monkeypatch, g, _common_neighbours_only) == (kappa, unbounded)
+    # short fan paths seldom settle a pair of a subcubic graph: the same
+    # pairs flow
+    g = _subcubic(random.Random(1), 50)
+    assert _count_flows(monkeypatch, g) == _count_flows(monkeypatch, g, _common_neighbours_only)
 
 
 # -- fans ---------------------------------------------------------------------

@@ -6,7 +6,9 @@ Two checkouts compute the same outputs iff they print the same lines:
 
 Every family hashes every labeled graph with n <= 6 and every n = 7
 isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the codecs,
-n = 8..16 for the rest.  Graphs are built from edge lists with the
+n = 17..60 for ``kappa``, n = 8..16 for the rest.  ``kappa`` also hashes
+seeded subcubic graphs with n = 40..60, so it pins the connectivity and
+a fan past the oracles' reach.  Graphs are built from edge lists with the
 ``Graph`` constructor, so no family relies on the codecs to make its
 inputs; an exception is hashed as its type and message.  ``color4`` is
 hashed as the certificates it renders to, the text it shows the world,
@@ -30,12 +32,14 @@ from wheelfree import (
     color4,
     ends,
     enumerate_graphs,
+    find_k_fan,
     induced_subgraph,
     parse_graph6,
     parse_pool_descriptor,
     reduction_witness,
     relabel,
     to_graph6,
+    vertex_connectivity,
     verify_statement,
 )
 from wheelfree.certificates import render, render_coloring, render_trace
@@ -55,6 +59,18 @@ def seeded(count: int, lo: int, hi: int, seed: int):
         n = hi if i == 0 else rnd.randint(lo, hi)
         p = rnd.uniform(0.1, 0.9)
         yield Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+def subcubic(count: int, lo: int, hi: int, seed: int):
+    """``count`` Hamiltonian cycles on n in lo..hi vertices, each plus a
+    random matching of chords."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        n = rnd.randint(lo, hi)
+        order = rnd.sample(range(n), n)
+        chords = zip(order[::2], order[1::2])
+        edges = {tuple(sorted(e)) for e in chain(((v, (v + 1) % n) for v in range(n)), chords)}
+        yield Graph(n, sorted(edges))
 
 
 def small():
@@ -101,12 +117,22 @@ def end_sets(g: Graph, rnd: random.Random) -> tuple:
     return (outcome(ends, g),)
 
 
-# name, outputs of one graph, seeded graph count, largest seeded n, seed
+def kappa(g: Graph, rnd: random.Random) -> tuple:
+    """The connectivity kappa and, if kappa >= 1 and 0 and n-1 are
+    non-adjacent, a kappa-fan from 0 into N(n-1)."""
+    k = vertex_connectivity(g) if g.n else None
+    if not k or g.has_edge(0, g.n - 1):
+        return (k,)
+    return (k, outcome(find_k_fan, g, 0, g.neighbors(g.n - 1), k))
+
+
+# name, outputs of one graph, seed, the graphs it hashes beyond small()
 FAMILIES = (
-    ("codecs", codecs, 500, 62, 1),
-    ("statements", statements, 300, 16, 2),
-    ("color4", coloring, 300, 16, 3),
-    ("ends", end_sets, 300, 16, 4),
+    ("codecs", codecs, 1, lambda: seeded(500, 8, 62, 1)),
+    ("statements", statements, 2, lambda: seeded(300, 8, 16, 2)),
+    ("color4", coloring, 3, lambda: seeded(300, 8, 16, 3)),
+    ("ends", end_sets, 4, lambda: seeded(300, 8, 16, 4)),
+    ("kappa", kappa, 5, lambda: chain(seeded(300, 17, 60, 5), subcubic(60, 40, 60, 5))),
 )
 
 
@@ -127,10 +153,10 @@ POOLS = (
 
 
 def main() -> None:
-    for name, family, count, hi, seed in FAMILIES:
+    for name, family, seed, extra in FAMILIES:
         rnd = random.Random(seed)
         digest = hashlib.sha256()
-        for g in chain(small(), seeded(count, 8, hi, seed)):
+        for g in chain(small(), extra()):
             digest.update(f"{to_graph6(g)} {family(g, rnd)!r}\n".encode())
         print(name, digest.hexdigest(), flush=True)
     digest = hashlib.sha256()
