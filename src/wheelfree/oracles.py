@@ -290,33 +290,17 @@ def enumerate_graphs(n: int, *, min_degree: int | None = None,
     if n > 8:
         raise GraphError("labeled-exhaustive enumeration is capped at n <= 8")
     accept, suffix = _pool_filter(min_degree, connectivity_at_least, wheel_free)
-    if dedup:
-        def factory() -> Iterator[Graph]:
-            for g in _nonisomorphic_graphs(n):
-                if accept(g):
-                    yield g
-
-        return GraphPool(f"exhaustive:n={n},dedup{suffix}", factory)
-
-    def factory() -> Iterator[Graph]:
-        for g in _labeled_graphs(n):
-            if accept(g):
-                yield g
-
-    return GraphPool(f"exhaustive:n={n}{suffix}", factory)
+    source = _nonisomorphic_graphs if dedup else _labeled_graphs
+    name = f"exhaustive:n={n}{',dedup' if dedup else ''}{suffix}"
+    return GraphPool(name, lambda: filter(accept, source(n)))
 
 
 def _labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices in edge-code order.  The step from
     code c - 1 to c flips pairs 0..t, t the index of c's lowest set bit,
-    so each step XORs one precomputed row list into the rows."""
-    flips = []
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i] ^= 1 << j
-            rows[j] ^= 1 << i
-            flips.append(tuple(rows))
+    so each step XORs the rows of the graph with edge code 2^(t+1) - 1
+    into the rows."""
+    flips = [Graph.from_edge_code(n, (2 << t) - 1).masks for t in range(n * (n - 1) // 2)]
     adj = (0,) * n
     yield Graph._of(n, adj)
     for code in range(1, 1 << len(flips)):

@@ -227,6 +227,20 @@ def is_almost_4_wheel_free(g: Graph) -> bool:
 # -------------------------------------------------------------------------
 
 
+def _scatter(adj: tuple[int, ...], live: int, tmask: int) -> dict[int, tuple[int, ...]] | None:
+    """Each target's component within ``live``, or None when two targets
+    share one."""
+    comps = {}
+    seen = 0
+    for t in bits(tmask):
+        comp = reach(adj, 1 << t, live)
+        if comp & seen:
+            return None
+        seen |= comp
+        comps[t] = tuple(bits(comp))
+    return comps
+
+
 @dataclass
 class WMCertificate:
     """Witness that no cycle of g - x covers the four targets: removing
@@ -238,24 +252,22 @@ class WMCertificate:
     components: dict[int, tuple[int, ...]]
 
     def validate(self, g: Graph) -> None:
+        """Check that x, four targets and three cutset vertices are eight
+        distinct vertices, and that each target is alone in its stored
+        component of g - x - cutset.  The sizes make the witness sound: a
+        cycle through four targets in distinct components of g - x - S
+        passes through at least four vertices of S."""
         tmask = g.vertex_mask(self.targets)
         smask = g.vertex_mask(self.cutset)
-        if smask & tmask:
-            raise CertificateError("cutset intersects the targets")
-        if (smask >> self.x) & 1:
-            raise CertificateError("cutset contains x")
-        if (tmask >> self.x) & 1:
-            raise CertificateError("targets contain x")
-        live = (1 << g.n) - 1 & ~smask & ~(1 << self.x)
-        seen = 0
-        for t in self.targets:
-            comp = reach(g.masks, 1 << t, live)
-            if comp & seen:
-                raise CertificateError(f"target {t} shares a component with another target")
-            seen |= comp
-            stored = self.components.get(t)
-            if stored is None or g.vertex_mask(stored) != comp:
-                raise CertificateError(f"stored component of {t} is not the full component")
+        xbit = g.vertex_mask((self.x,))
+        if (len(self.targets) != 4 or len(self.cutset) != 3
+                or (xbit | tmask | smask).bit_count() != 8):
+            raise CertificateError("x, four targets and three cutset vertices must be distinct")
+        comps = _scatter(g.masks, (1 << g.n) - 1 & ~smask & ~xbit, tmask)
+        if comps is None:
+            raise CertificateError("two targets share a component")
+        if self.components != comps:
+            raise CertificateError("stored components are not the components of the targets")
 
 
 def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None:
@@ -281,22 +293,11 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
     if _cycle_hitting(g.masks, [xs[0]], tmask, 4, 1 << x) is not None:
         raise GraphError("a cycle through the targets exists; no certificate applies")
     pool = [v for v in g.vertices() if v != x and not (tmask >> v) & 1]
-    full = (1 << g.n) - 1
+    rest = (1 << g.n) - 1 & ~(1 << x)
     for sset in combinations(pool, 3):
-        smask = (1 << sset[0]) | (1 << sset[1]) | (1 << sset[2])
-        live = full & ~smask & ~(1 << x)
-        comps = {}
-        seen = 0
-        ok = True
-        for t in xs:
-            comp = reach(g.masks, 1 << t, live)
-            if comp & seen:
-                ok = False
-                break
-            seen |= comp
-            comps[t] = tuple(bits(comp))
-        if ok:
-            return WMCertificate(x=x, targets=xs, cutset=tuple(sset), components=comps)
+        comps = _scatter(g.masks, rest & ~(1 << sset[0]) & ~(1 << sset[1]) & ~(1 << sset[2]), tmask)
+        if comps is not None:
+            return WMCertificate(x=x, targets=xs, cutset=sset, components=comps)
     # guarantee regime: with g - x 3-connected a certificate must exist
     gx, _ = induced_subgraph(g, [v for v in g.vertices() if v != x])
     if vertex_connectivity(gx) >= 3:

@@ -604,6 +604,7 @@ def test_criterion_07_property_suites():
             if len(f) < 2:
                 continue
             block = end_block(g, f)
+            block.validate(g)
             if vertex_connectivity(block.graph) < k + 1:
                 failures.append(f"property-3.5 n={g.n} code={g.edge_code()} F={f}")
             block_instances += 1

@@ -1,11 +1,13 @@
 """Connectivity, fans, fragments, ends and end blocks."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from wheelfree import (
     BudgetExceededError,
+    CertificateError,
     Fan,
     Graph,
     GraphError,
@@ -22,6 +24,7 @@ from wheelfree import (
     find_k_fan,
     icosahedron,
     is_fragment,
+    parse_graph6,
     path,
     petersen,
     relabel,
@@ -229,6 +232,31 @@ def test_fan_validation_catches_bad_paths():
     g = cycle(5)
     with pytest.raises(CertificateError):
         Fan(origin=0, targets=(2,), paths=((0, 2),)).validate(g)  # non-edge
+
+
+# a 2-fan of C_6 from 0 into {2, 4}; the non-edge branch is the test above
+C6_FAN = Fan(origin=0, targets=(2, 4), paths=((0, 1, 2), (0, 5, 4)))
+
+
+@pytest.mark.parametrize("error,changes", [
+    (CertificateError, {"targets": (0, 2, 4)}),
+    (CertificateError, {"paths": ((1, 2), (0, 5, 4))}),
+    (CertificateError, {"paths": ((), (0, 5, 4))}),
+    (CertificateError, {"paths": ((0, 1, 0, 5, 4),)}),
+    (CertificateError, {"paths": ((0, 1), (0, 5, 4))}),
+    (CertificateError, {"paths": ((0, 1, 2), (0, 5, 4, 3, 2))}),
+    (CertificateError, {"paths": ((0, 1, 2), (0, 1, 2))}),
+    (CertificateError, {"targets": (3,), "paths": ((0, 1, 2, 3), (0, 5, 4, 3))}),
+    (GraphError, {"targets": (-1, 2, 4)}),
+    (GraphError, {"origin": -1}),
+], ids=["origin-in-targets", "wrong-start", "empty-path", "repeated-vertex", "end-outside-targets",
+        "through-a-target", "shared-interior", "shared-end", "target-out-of-range",
+        "origin-out-of-range"])
+def test_fan_validation_rejects_each_planted_defect(error, changes):
+    g = cycle(6)
+    C6_FAN.validate(g)
+    with pytest.raises(error):
+        replace(C6_FAN, **changes).validate(g)
 
 
 # -- pinned fan paths -----------------------------------------------------------
@@ -587,6 +615,32 @@ def test_end_block_verify_mode():
     block = end_block(g, [1, 2])
     assert vertex_connectivity(block.graph) >= vertex_connectivity(g) + 1
     block.validate(g)
+
+
+def _with_block_edge(block, u, v):
+    """``block`` with the block edge between original vertices u and v added."""
+    h, ids = block.graph, block.vertex_map
+    return replace(block, graph=Graph(h.n, [*h.edges(), (ids[u], ids[v])]))
+
+
+K33_PLUS_E = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)] + [(3, 4)])
+
+
+@pytest.mark.parametrize("g,fragment,plant,error", [
+    (cycle(5), (0,), lambda b: replace(b, fragment=(2,)), CertificateError),
+    (cycle(5), (0,), lambda b: replace(b, fragment=(0, 2, 3)), CertificateError),
+    (cycle(5), (0,), lambda b: replace(b, attachment=(1,)), CertificateError),
+    (cycle(5), (0,), lambda b: replace(b, vertex_map={0: 1, 1: 0, 4: 2}), CertificateError),
+    (parse_graph6("FICcW"), (1, 2, 3, 4, 5), lambda b: _with_block_edge(b, 1, 4), CertificateError),
+    (K33_PLUS_E, (3, 4), lambda b: replace(b, marker_edges=()), CertificateError),
+    (cycle(5), (0,), lambda b: replace(b, fragment=(5,)), GraphError),
+], ids=["another-fragments-block", "not-a-fragment", "short-attachment", "swapped-ids",
+        "extra-block-edge", "dropped-markers", "fragment-out-of-range"])
+def test_end_block_validation_rejects_each_planted_defect(g, fragment, plant, error):
+    block = end_block(g, fragment)
+    block.validate(g)
+    with pytest.raises(error):
+        plant(block).validate(g)
 
 
 def test_end_block_asserts_block_connectivity(monkeypatch):

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from wheelfree import (
+    CertificateError,
+    Coloring,
     Graph,
     GraphError,
     LowDegree,
@@ -88,6 +90,14 @@ def test_color4_k4_uses_four():
     assert result.coloring.colors_used == 4
     result.coloring.validate(complete(4))
     assert all(isinstance(w, LowDegree) for w in result.trace)
+
+
+@pytest.mark.parametrize("colors", [(0, 1, 2), (0, 1, 2, 4), (0, 1, 2, -1), (0, 1, 2, 2)],
+                         ids=["short", "above-palette", "below-palette", "monochromatic-edge"])
+def test_coloring_validation_rejects_each_planted_defect(colors):
+    Coloring(colors=(0, 1, 2, 3)).validate(complete(4))
+    with pytest.raises(CertificateError):
+        Coloring(colors=colors).validate(complete(4))
 
 
 def test_color4_k44_uses_two():

@@ -1,12 +1,17 @@
 """Cycle-through search, wheel detection, and cutset certificates."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wheelfree import (
+    CertificateError,
     Graph,
     GraphError,
     TheoremViolationError,
+    WMCertificate,
+    Wheel,
     complete,
     complete_bipartite,
     cycle,
@@ -113,6 +118,27 @@ def test_cycle_through_agrees_with_cycle_enumeration():
 
 
 # -- wheels --------------------------------------------------------------------
+
+
+# hub 0 on the rim 1-2-3-4, and 5 joined to 1 and 2
+W4_PLUS = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 1), (0, 1), (0, 2), (0, 3), (0, 4), (5, 1), (5, 2)])
+W4 = Wheel(center=0, rim=(1, 2, 3, 4), spokes=((0, 1), (0, 2), (0, 3), (0, 4)))
+
+
+@pytest.mark.parametrize("changes", [
+    {"rim": (1, 3, 2, 4)},
+    {"center": 1},
+    {"spokes": ((0, 1), (0, 2), (0, 3), (1, 2))},
+    {"spokes": ((0, 1), (0, 2), (0, 3), (0, 5))},
+    {"center": 5, "spokes": ((5, 1), (5, 2), (5, 3), (5, 4))},
+    {"spokes": ((0, 1), (0, 1), (0, 2), (0, 3))},
+    {"spokes": ((0, 1), (0, 2), (0, 3))},
+], ids=["rim-not-a-cycle", "center-on-rim", "spoke-from-elsewhere", "spoke-off-the-rim",
+        "spoke-not-an-edge", "duplicate-spoke", "too-few-spokes"])
+def test_wheel_validation_rejects_each_planted_defect(changes):
+    W4.validate(W4_PLUS, 4)
+    with pytest.raises(CertificateError):
+        replace(W4, **changes).validate(W4_PLUS, 4)
 
 
 def test_wheel_center_k5():
@@ -302,6 +328,34 @@ def test_wm_validation_catches_bad_cutset():
     bad = WMCertificate(x=4, targets=(0, 1, 2, 3), cutset=(0, 5, 6), components={})
     with pytest.raises(CertificateError):
         bad.validate(g)
+
+
+K44_CERT = WMCertificate(x=4, targets=(0, 1, 2, 3), cutset=(5, 6, 7),
+                         components={0: (0,), 1: (1,), 2: (2,), 3: (3,)})
+# the 8-cycle with apex 8 joined to 0, 2, 4 and 6: a 4-wheel, whose rim
+# covers the four targets although each is alone once 1, 3, 5, 7 are gone
+C8_APEX = Graph(9, [(v, (v + 1) % 8) for v in range(8)] + [(8, v) for v in (0, 2, 4, 6)])
+
+
+# the cutset-meets-targets branch is the test above
+@pytest.mark.parametrize("g,cert,error", [
+    (complete_bipartite(4), replace(K44_CERT, cutset=(4, 5, 6)), CertificateError),
+    (complete_bipartite(4), replace(K44_CERT, targets=(0, 1, 2, 4)), CertificateError),
+    (complete_bipartite(4), replace(K44_CERT, targets=(0, 1, 2, 2)), CertificateError),
+    (complete_bipartite(4), replace(K44_CERT, cutset=(5, 6)), CertificateError),
+    (C8_APEX, WMCertificate(x=8, targets=(0, 2, 4, 6), cutset=(1, 3, 5, 7),
+                            components={0: (0,), 2: (2,), 4: (4,), 6: (6,)}), CertificateError),
+    (subdivided_k44(), WMCertificate(x=5, targets=(0, 1, 2, 3), cutset=(4, 6, 8),
+                                     components={0: (0,), 1: (1,), 2: (2,), 3: (3,)}),
+     CertificateError),
+    (complete_bipartite(4), replace(K44_CERT, components={0: (0, 5), 1: (1,), 2: (2,), 3: (3,)}),
+     CertificateError),
+    (complete_bipartite(4), replace(K44_CERT, x=-1), GraphError),
+], ids=["cutset-holds-x", "targets-hold-x", "repeated-target", "two-cutset-vertices",
+        "four-cutset-vertices", "shared-component", "wrong-component", "x-out-of-range"])
+def test_wm_validation_rejects_each_planted_defect(g, cert, error):
+    with pytest.raises(error):
+        cert.validate(g)
 
 
 def test_wm_exhaustive_over_k44_apexes():

@@ -4,15 +4,19 @@ Two checkouts compute the same outputs iff they print the same lines:
 
     PYTHONPATH=<checkout>/src python3 tools/digest.py
 
-Every family hashes every labeled graph with n <= 6 and every n = 7
-isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the codecs,
-n = 17..60 for ``kappa``, n = 8..16 for the rest.  ``kappa`` also hashes
-seeded subcubic graphs with n = 40..60, so it pins the connectivity and
-a fan past the oracles' reach.  Graphs are built from edge lists with the
-``Graph`` constructor, so no family relies on the codecs to make its
-inputs; an exception is hashed as its type and message.  ``color4`` is
-hashed as the certificates it renders to, the text it shows the world,
-so a change of its result types that keeps that text keeps the line.
+Every family but ``wm`` hashes every labeled graph with n <= 6 and every
+n = 7 isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the
+codecs, n = 17..60 for ``kappa``, n = 8..16 for the rest.  ``kappa`` also
+hashes seeded subcubic graphs with n = 40..60, so it pins the
+connectivity and a fan past the oracles' reach.  ``wm`` hashes the
+rendered ``wm_certificate`` of each vertex x and each of the first six
+4-subsets of N(x) on the curated ``wm``, ``thm44-seeds`` and
+``four-connected`` pools and seeded G(n, p) with n = 8..13.  Graphs
+are built from edge lists with the ``Graph`` constructor, so no family
+relies on the codecs to make its inputs; an exception is hashed as its
+type and message.  ``color4`` is hashed as the certificates it renders
+to, the text it shows the world, so a change of its result types that
+keeps that text keeps the line.
 The ``pools`` family instead hashes the graph6 stream of each of the
 pool descriptors in ``POOLS``, so it pins the order and the draws of
 exhaustive and random pools.  Stdlib only.
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from wheelfree import (
     STATEMENTS,
@@ -30,6 +34,7 @@ from wheelfree import (
     ToolkitError,
     canonical_code,
     color4,
+    curated_pool,
     ends,
     enumerate_graphs,
     find_k_fan,
@@ -41,6 +46,7 @@ from wheelfree import (
     to_graph6,
     vertex_connectivity,
     verify_statement,
+    wm_certificate,
 )
 from wheelfree.certificates import render, render_coloring, render_trace
 
@@ -126,13 +132,29 @@ def kappa(g: Graph, rnd: random.Random) -> tuple:
     return (k, outcome(find_k_fan, g, 0, g.neighbors(g.n - 1), k))
 
 
-# name, outputs of one graph, seed, the graphs it hashes beyond small()
+def rendered_wm(g: Graph, x: int, xs: tuple[int, ...]) -> str:
+    cert = wm_certificate(g, x, xs)
+    return "none" if cert is None else render(cert)
+
+
+def wm(g: Graph, rnd: random.Random) -> tuple:
+    return tuple(outcome(rendered_wm, g, x, xs)
+                 for x in g.vertices() for xs in islice(combinations(g.neighbors(x), 4), 6))
+
+
+def wm_inputs():
+    return chain(curated_pool("wm"), curated_pool("thm44-seeds"), curated_pool("four-connected"),
+                 seeded(150, 8, 13, 6))
+
+
+# name, outputs of one graph, seed, the graphs it hashes
 FAMILIES = (
-    ("codecs", codecs, 1, lambda: seeded(500, 8, 62, 1)),
-    ("statements", statements, 2, lambda: seeded(300, 8, 16, 2)),
-    ("color4", coloring, 3, lambda: seeded(300, 8, 16, 3)),
-    ("ends", end_sets, 4, lambda: seeded(300, 8, 16, 4)),
-    ("kappa", kappa, 5, lambda: chain(seeded(300, 17, 60, 5), subcubic(60, 40, 60, 5))),
+    ("codecs", codecs, 1, lambda: chain(small(), seeded(500, 8, 62, 1))),
+    ("statements", statements, 2, lambda: chain(small(), seeded(300, 8, 16, 2))),
+    ("color4", coloring, 3, lambda: chain(small(), seeded(300, 8, 16, 3))),
+    ("ends", end_sets, 4, lambda: chain(small(), seeded(300, 8, 16, 4))),
+    ("kappa", kappa, 5, lambda: chain(small(), seeded(300, 17, 60, 5), subcubic(60, 40, 60, 5))),
+    ("wm", wm, 6, wm_inputs),
 )
 
 
@@ -153,10 +175,10 @@ POOLS = (
 
 
 def main() -> None:
-    for name, family, seed, extra in FAMILIES:
+    for name, family, seed, inputs in FAMILIES:
         rnd = random.Random(seed)
         digest = hashlib.sha256()
-        for g in chain(small(), extra()):
+        for g in inputs():
             digest.update(f"{to_graph6(g)} {family(g, rnd)!r}\n".encode())
         print(name, digest.hexdigest(), flush=True)
     digest = hashlib.sha256()
