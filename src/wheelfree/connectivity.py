@@ -7,7 +7,11 @@ largest fan from s into N(t), and an end is the closest minimum cut of
 such a flow (Picard & Queyranne, "On the structure of all minimum cuts
 in a network", Math. Prog. Study 1980), found in polynomial time at any
 size.  ``vertex_connectivity`` runs a flow only for a pair whose short
-fan paths (``_short_fan``) cannot settle it, and starts it from them.
+fan paths (``_short_fan``) cannot settle it, and starts it from them, and
+only while the running minimum is above 2: at 2, one lowpoint depth-first
+search for a cut vertex (``_has_cut_vertex``; Hopcroft & Tarjan,
+"Efficient algorithms for graph manipulation", CACM 1973) settles the
+rest.
 """
 
 from __future__ import annotations
@@ -155,6 +159,49 @@ def _short_fan(adj: tuple[int, ...], s: int, t: int, cap: int) -> tuple[tuple[in
     return tuple((s, c) for c in bits(common)) + tuple(hops)
 
 
+def _has_cut_vertex(adj: tuple[int, ...], n: int) -> bool:
+    """Whether some vertex of the connected graph ``adj`` on n vertices
+    leaves it disconnected.
+
+    One depth-first search from vertex 0, without recursion, keeps each
+    vertex's discovery time and lowpoint (the earliest discovery time its
+    subtree reaches by one non-tree edge): the root is a cut vertex when it
+    has two children, any other v when a child's lowpoint is not earlier
+    than v.  Counting the tree edge to the parent among the lowpoint's edges
+    changes neither test.
+    """
+    disc = [0] * n  # 0 while unvisited, else the 1-based discovery time
+    low = [0] * n
+    todo = list(adj)  # the neighbours each vertex has yet to scan
+    disc[0] = low[0] = clock = 1
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        m = todo[v]
+        if m:
+            b = m & -m
+            todo[v] = m ^ b
+            w = b.bit_length() - 1
+            if disc[w]:
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            elif v == 0 and clock > 1:
+                return True  # a second child of the root
+            else:
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append(w)
+            continue
+        stack.pop()
+        if stack:
+            u = stack[-1]
+            if low[v] < low[u]:
+                low[u] = low[v]
+            elif u and low[v] >= disc[u]:
+                return True
+    return False
+
+
 def vertex_connectivity(g: Graph) -> int:
     """The largest k such that g is k-connected.
 
@@ -162,6 +209,9 @@ def vertex_connectivity(g: Graph) -> int:
     disconnected graphs give 0.  Exact: every pair of the Esfahanian-Hakimi
     schedule is screened, and a flow runs only for a pair whose short fan
     paths fall short of the running minimum, starting from those paths.
+    Once that minimum is 2, the first such pair ends the loop instead: g is
+    connected with n >= 4 and kappa <= 2, so kappa is 1 exactly when g has
+    a cut vertex (Hopcroft & Tarjan 1973), found by one lowpoint search.
     """
     n = g.n
     if n < 1:
@@ -190,6 +240,8 @@ def vertex_connectivity(g: Graph) -> int:
         seed = _short_fan(adj, s, t, best)
         if seed is None:
             continue
+        if best == 2:
+            return 1 if _has_cut_vertex(adj, n) else 2
         # an s-t path ends at its first vertex of N(t): kappa(s,t) is the
         # largest fan from s into N(t), and t itself is never reached
         f, _ = _fan_flow(adj, n, s, adj[t], best, seed)

@@ -32,7 +32,7 @@ from wheelfree import (
     TheoremViolationError,
     vertex_connectivity,
 )
-from wheelfree.graph import bits
+from wheelfree.graph import bits, reach
 
 
 def bowtie() -> Graph:
@@ -141,6 +141,99 @@ def test_short_fans_settle_most_dense_pairs(monkeypatch):
     # pairs flow
     g = _subcubic(random.Random(1), 50)
     assert _count_flows(monkeypatch, g) == _count_flows(monkeypatch, g, _common_neighbours_only)
+
+
+def _cut_vertex_by_definition(g: Graph) -> bool:
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        rest = full & ~(1 << v)
+        if reach(g.masks, rest & -rest, rest) != rest:
+            return True
+    return False
+
+
+def _triangle_chain(triangles: int) -> Graph:
+    """Triangles (2i, 2i+1, 2i+2), each sharing a cut vertex with the next."""
+    return Graph(2 * triangles + 1, [e for i in range(triangles)
+                                     for e in ((2 * i, 2 * i + 1), (2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
+
+
+def _triangle_strip(n: int) -> Graph:
+    """The square of the path on n vertices: a 2-connected strip of triangles."""
+    return Graph(n, [(v, w) for v in range(n) for w in (v + 1, v + 2) if w < n])
+
+
+def _cut_vertex_cases():
+    for n in range(3, 7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            yield Graph.from_edge_code(n, code)
+    yield from enumerate_graphs(7, dedup=True)
+    rng = random.Random(19)
+    for n in range(8, 61, 4):
+        for p in (2.0 / n, 3.0 / n, 5.0 / n):
+            yield _gnp(rng, n, p)
+        yield _subcubic(rng, n)
+    yield bowtie()  # the search root is the only cut vertex
+    for g in (_triangle_chain(30), _triangle_strip(60)):  # searches 60 deep
+        yield g
+        yield relabel(g, rng.sample(range(g.n), g.n))
+
+
+def test_cut_vertex_search_matches_definition():
+    from wheelfree.connectivity import _has_cut_vertex
+
+    found = set()
+    for g in _cut_vertex_cases():
+        if g.n >= 3 and g.is_connected():
+            expected = _cut_vertex_by_definition(g)
+            assert _has_cut_vertex(g.masks, g.n) == expected, (g.n, g.edge_code())
+            found.add((g.n > 7, expected))
+    assert found == {(False, False), (False, True), (True, False), (True, True)}
+    assert _has_cut_vertex(bowtie().masks, 5)
+    assert _has_cut_vertex(_triangle_chain(30).masks, 61)
+    assert not _has_cut_vertex(_triangle_strip(60).masks, 60)
+
+
+def _glued(rng: random.Random, a: Graph, b: Graph) -> Graph:
+    """a and b with one vertex of each identified, under a random labeling."""
+    n = a.n + b.n - 1
+    edges = list(a.edges()) + [(u + a.n - 1, v + a.n - 1) for u, v in b.edges()]
+    return relabel(Graph(n, edges), rng.sample(range(n), n))
+
+
+def _chorded_cycle(rng: random.Random, n: int, chords: int) -> Graph:
+    edges = {(v, (v + 1) % n) for v in range(n)}
+    for _ in range(chords):
+        u, v = rng.sample(range(n), 2)
+        edges.add((u, v))
+    return Graph(n, sorted({tuple(sorted(e)) for e in edges}))
+
+
+def test_connectivity_two_by_cut_vertex_matches_oracle():
+    from wheelfree.oracles import brute_vertex_connectivity
+
+    rng = random.Random(23)
+    graphs = []
+    for n in range(8, 13):
+        graphs += [_glued(rng, cycle(k), cycle(n + 1 - k)) for k in (3, n // 2)]
+        graphs += [_glued(rng, _chorded_cycle(rng, k, 2), _chorded_cycle(rng, n + 1 - k, 3)) for k in (4, n // 2)]
+        graphs += [_chorded_cycle(rng, n, c) for c in (1, 2, 4)]
+        graphs += [_gnp(rng, n, p) for p in (0.2, 0.25, 0.3) for _ in range(20)]
+    kappas = []
+    for g in graphs:
+        if min(a.bit_count() for a in g.masks) >= 2:
+            kappas.append(vertex_connectivity(g))
+            assert kappas[-1] == brute_vertex_connectivity(g), (g.n, g.edge_code())
+    assert {1, 2, 3} <= set(kappas)
+
+
+def test_connectivity_two_runs_no_flow(monkeypatch):
+    # 48 flows before the cut-vertex search settled kappa <= 2
+    assert _count_flows(monkeypatch, _subcubic(random.Random(1), 50)) == (2, 0)
+    # minimum degree 3: the same 49 flows as without the search
+    g = _subcubic(random.Random(5), 50)
+    assert min(a.bit_count() for a in g.masks) == 3
+    assert _count_flows(monkeypatch, g) == (3, 49)
 
 
 # -- fans ---------------------------------------------------------------------
