@@ -6,12 +6,17 @@ flow, ``_fan_flow``: the connectivity between non-adjacent s and t is the
 largest fan from s into N(t), and an end is the closest minimum cut of
 such a flow (Picard & Queyranne, "On the structure of all minimum cuts
 in a network", Math. Prog. Study 1980), found in polynomial time at any
-size.  ``vertex_connectivity`` runs a flow only for a pair whose short
-fan paths (``_short_fan``) cannot settle it, and starts it from them, and
-only while the running minimum is above 2: at 2, one lowpoint depth-first
-search for a cut vertex (``_has_cut_vertex``; Hopcroft & Tarjan,
-"Efficient algorithms for graph manipulation", CACM 1973) settles the
-rest.
+size.  One search, ``_connectivity``, finds min(kappa, cap): it starts
+from the smaller of the minimum degree and the cap, runs a flow only for a
+pair whose short fan paths (``_short_fan``) cannot settle it, and starts it
+from them, and only while the running minimum is above 2: at 2, one
+lowpoint depth-first search for a cut vertex (``_has_cut_vertex``; Hopcroft
+& Tarjan, "Efficient algorithms for graph manipulation", CACM 1973) settles
+the rest.  ``vertex_connectivity`` is that search with cap n.  A statement's
+hypothesis "kappa >= k" or "kappa = k" is a threshold test instead
+(``_is_k_connected``): a degree bound, then the search capped at k or k + 1
+(S. Even, "An algorithm for determining whether the connectivity of a
+graph is at least k", SIAM J. Comput. 1975).
 """
 
 from __future__ import annotations
@@ -202,32 +207,31 @@ def _has_cut_vertex(adj: tuple[int, ...], n: int) -> bool:
     return False
 
 
-def vertex_connectivity(g: Graph) -> int:
-    """The largest k such that g is k-connected.
+def _connectivity(adj: tuple[int, ...], n: int, cap: int, degs: list[int]) -> int:
+    """min(kappa, cap) of the graph on n >= 1 vertices with adjacency masks
+    ``adj`` and degrees ``degs``.
 
-    Complete graphs give n-1 (so a single vertex gives 0) and
-    disconnected graphs give 0.  Exact: every pair of the Esfahanian-Hakimi
-    schedule is screened, and a flow runs only for a pair whose short fan
-    paths fall short of the running minimum, starting from those paths.
-    Once that minimum is 2, the first such pair ends the loop instead: g is
-    connected with n >= 4 and kappa <= 2, so kappa is 1 exactly when g has
+    The running minimum starts at the smaller of the minimum degree and the
+    cap.  Every pair of the Esfahanian-Hakimi schedule is screened, and a
+    flow, capped at the running minimum, runs only for a pair whose short
+    fan paths fall short of it, starting from those paths.  Once that
+    minimum is 2, the first such pair ends the loop instead: the graph is
+    connected with n >= 4 and kappa <= 2, so kappa is 1 exactly when it has
     a cut vertex (Hopcroft & Tarjan 1973), found by one lowpoint search.
     """
-    n = g.n
-    if n < 1:
-        raise GraphError("vertex_connectivity requires at least one vertex")
-    adj = g.masks
-    degs = [a.bit_count() for a in adj]
-    best = min(degs)
-    if best == n - 1:
-        return n - 1
+    low = min(degs)
+    best = min(low, cap)
+    if best <= 0 or best == n - 1:
+        return best
     full = (1 << n) - 1
     if reach(adj, 1, full) != full:
         return 0
+    if best == 1:
+        return 1
     # Some vertex of {v0} u N(v0) lies outside any minimum cutset, and every
     # vertex across that cutset from it is non-adjacent to it, so these pairs
     # suffice.
-    v0 = degs.index(best)
+    v0 = degs.index(low)
     pairs = [(v0, u) for u in bits(full & ~adj[v0] & ~(1 << v0))]
     nbrs = list(bits(adj[v0]))
     for i, a in enumerate(nbrs):
@@ -248,6 +252,29 @@ def vertex_connectivity(g: Graph) -> int:
         if f < best:
             best = f
     return best
+
+
+def vertex_connectivity(g: Graph) -> int:
+    """The largest k such that g is k-connected.
+
+    Complete graphs give n-1 (so a single vertex gives 0) and
+    disconnected graphs give 0.  Exact: ``_connectivity`` with cap n.
+    """
+    n = g.n
+    if n < 1:
+        raise GraphError("vertex_connectivity requires at least one vertex")
+    adj = g.masks
+    return _connectivity(adj, n, n, [a.bit_count() for a in adj])
+
+
+def _is_k_connected(g: Graph, k: int, exactly: bool = False) -> bool:
+    """Whether g, with n >= 1, is k-connected, or with ``exactly`` whether
+    its connectivity is k: every degree must reach k, and then the search
+    capped at k, or at k + 1, must return k (Even 1975).  True for every
+    such g when k <= 0 and not ``exactly``."""
+    adj = g.masks
+    degs = [a.bit_count() for a in adj]
+    return min(degs) >= k and _connectivity(adj, g.n, k + 1 if exactly else k, degs) == k
 
 
 # -------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import xor
 from typing import Callable, Iterator
 
 from . import generators as gen
-from .connectivity import vertex_connectivity
+from .connectivity import _is_k_connected
 from .errors import BudgetExceededError, GraphError, NoFragmentsError
 from .formats import parse_graph6_lines, to_graph6
 from .graph import Graph, bits, reach
@@ -228,7 +228,7 @@ def brute_fragments(g: Graph) -> list[tuple[int, ...]]:
 # ``enumerate_graphs`` and ``random_pool`` is the key with "_" for "-"
 _FILTERS = {
     "min-degree": lambda g, d: g.min_degree() >= d,
-    "connectivity-at-least": lambda g, k: g.n >= 1 and vertex_connectivity(g) >= k,
+    "connectivity-at-least": lambda g, k: g.n >= 1 and _is_k_connected(g, k),
     "wheel-free": lambda g, k: find_k_wheel(g, k) is None,
 }
 

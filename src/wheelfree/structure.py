@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar
 
-from .connectivity import _end_block, _ends, vertex_connectivity
+from .connectivity import _end_block, _ends, _is_k_connected
 from .errors import (
     BudgetExceededError,
     CertificateError,
@@ -299,7 +299,7 @@ def _is_k44(g: Graph) -> bool:
 
 def _check_four_connected(g: Graph) -> tuple:
     """A 4-connected, almost-4-wheel-free graph is K_{4,4}."""
-    if vertex_connectivity(g) < 4:
+    if not _is_k_connected(g, 4):
         return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     almost, centers = _almost_4_wheel_free_check(g)
     if not almost:
@@ -312,7 +312,7 @@ def _check_four_connected(g: Graph) -> tuple:
 
 def _check_ends_of_3_connected(g: Graph) -> tuple:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
-    if vertex_connectivity(g) != 3:
+    if not _is_k_connected(g, 3, exactly=True):
         return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     if g.is_complete():
         return VerifyStatus.PASS, "no ends (complete graph)"
@@ -327,7 +327,7 @@ def _check_ends_of_3_connected(g: Graph) -> tuple:
 
 def _check_two_degree_three(g: Graph) -> tuple:
     """4-wheel-free graphs of connectivity 3 have two vertices of degree 3."""
-    if vertex_connectivity(g) != 3:
+    if not _is_k_connected(g, 3, exactly=True):
         return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     count = sum(1 for v in g.vertices() if g.degree(v) == 3)
     if count >= 2:
@@ -339,7 +339,7 @@ def _check_two_degree_three(g: Graph) -> tuple:
 def _check_ends_of_2_connected(g: Graph) -> tuple:
     """4-wheel-free, connectivity 2: every end has a vertex of degree <= 3
     in the ambient graph, or its end block is K_{4,4}."""
-    if vertex_connectivity(g) != 2:
+    if not _is_k_connected(g, 2, exactly=True):
         return VerifyStatus.NOT_APPLICABLE, "connectivity != 2"
     verdict = _wheel_verdict(g)
     if verdict is not None:
@@ -363,7 +363,7 @@ def _check_ends_of_2_connected(g: Graph) -> tuple:
 
 def _check_five_connected_centers(g: Graph) -> tuple:
     """5-connected graphs: every vertex is a 4-wheel center."""
-    if vertex_connectivity(g) < 5:
+    if not _is_k_connected(g, 5):
         return VerifyStatus.NOT_APPLICABLE, "not 5-connected"
     missing = [v for v in g.vertices() if is_wheel_center(g, v, 4) is None]
     if missing:
@@ -373,7 +373,7 @@ def _check_five_connected_centers(g: Graph) -> tuple:
 
 def _check_triangle_centers(g: Graph) -> tuple:
     """4-connected graphs: every vertex on a triangle is a 4-wheel center."""
-    if vertex_connectivity(g) < 4:
+    if not _is_k_connected(g, 4):
         return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     adj = g.masks
     in_triangle = [v for v in g.vertices()

@@ -236,6 +236,102 @@ def test_connectivity_two_runs_no_flow(monkeypatch):
     assert _count_flows(monkeypatch, g) == (3, 49)
 
 
+def _capped_cases():
+    """Every labeled graph with 1 <= n <= 6, the n = 7 classes and seeded
+    G(n, p) with n = 8..12: the oracles' reach."""
+    for n in range(1, 7):
+        for code in range(1 << (n * (n - 1) // 2)):
+            yield Graph.from_edge_code(n, code)
+    yield from enumerate_graphs(7, dedup=True)
+    rng = random.Random(29)
+    for n in range(8, 13):
+        for p in (0.2, 0.35, 0.5, 0.65, 0.8):
+            for _ in range(24):
+                yield _gnp(rng, n, p)
+
+
+def _assert_capped(g: Graph, kappa: int) -> None:
+    """The capped search gives min(kappa, cap) for every cap 0..n."""
+    from wheelfree.connectivity import _connectivity
+
+    adj, n = g.masks, g.n
+    degs = [a.bit_count() for a in adj]
+    for cap in range(n + 1):
+        assert _connectivity(adj, n, cap, degs) == min(kappa, cap), (n, g.edge_code(), cap)
+
+
+def test_capped_connectivity_is_exact():
+    from wheelfree.oracles import brute_vertex_connectivity
+
+    seen = set()
+    for g in _capped_cases():
+        kappa = brute_vertex_connectivity(g)
+        seen.add(kappa)
+        _assert_capped(g, kappa)
+    assert set(range(9)) <= seen
+
+
+def test_capped_connectivity_past_the_oracle():
+    rng = random.Random(31)
+    graphs = [_gnp(rng, n, p) for n in range(13, 61, 3) for p in (0.1, 0.3, 0.5, 0.8)]
+    graphs += [_subcubic(rng, n) for n in range(13, 61, 4)]
+    seen = set()
+    for g in graphs:
+        kappa = vertex_connectivity(g)
+        seen.add(kappa)
+        _assert_capped(g, kappa)
+    assert {0, 1, 2, 3} <= seen and max(seen) >= 20
+
+
+def test_threshold_tests_are_the_exact_predicates():
+    from wheelfree.connectivity import _is_k_connected
+
+    rng = random.Random(41)
+    graphs = [Graph.from_edge_code(n, code) for n in range(1, 6)
+              for code in range(1 << (n * (n - 1) // 2))]
+    graphs += [_gnp(rng, n, p) for n in range(6, 30, 2) for p in (0.3, 0.6, 0.9)]
+    for g in graphs:
+        kappa = vertex_connectivity(g)
+        for k in range(-1, g.n + 1):
+            assert _is_k_connected(g, k) == (kappa >= k), (g.n, g.edge_code(), k)
+            assert _is_k_connected(g, k, exactly=True) == (kappa == k), (g.n, g.edge_code(), k)
+
+
+def _count_calls(monkeypatch, names, call, *args):
+    """``call(*args)`` and how many times it called the ``connectivity``
+    functions ``names``."""
+    import wheelfree.connectivity as conn
+
+    calls = []
+    for name in names:
+        real = getattr(conn, name)
+        monkeypatch.setattr(conn, name, lambda *a, real=real: calls.append(a) or real(*a))
+    out = call(*args)
+    monkeypatch.undo()
+    return out, len(calls)
+
+
+def test_degree_bound_settles_hypotheses(monkeypatch):
+    from wheelfree import VerifyStatus, verify_statement
+    from wheelfree.connectivity import _is_k_connected
+
+    # minimum degree below the threshold: no pair is screened, though the
+    # exact kappa of these graphs takes screens and flows or the
+    # cut-vertex search
+    searches = ("_short_fan", "_fan_flow", "_has_cut_vertex")
+    for g, statements in ((petersen(), ("thm-4.4", "lemma-4.2", "lemma-4.3")),
+                          (cycle(8), ("thm-4.5", "cor-4.6"))):
+        assert _count_calls(monkeypatch, searches, vertex_connectivity, g)[1] > 0
+        for sid in statements:
+            result, count = _count_calls(monkeypatch, searches, verify_statement, g, sid)
+            assert result.status is VerifyStatus.NOT_APPLICABLE and count == 0, (sid, result)
+    # above the threshold the flows stop at it: here short fan paths
+    # settle every pair at 4, where the exact kappa takes 13 flows
+    g = _gnp(random.Random(37), 50, 0.3)
+    assert _count_flows(monkeypatch, g) == (9, 13)
+    assert _count_calls(monkeypatch, ("_fan_flow",), _is_k_connected, g, 4) == (True, 0)
+
+
 # -- fans ---------------------------------------------------------------------
 
 
@@ -622,15 +718,18 @@ def test_ends_match_fragment_scan_random():
 
 
 def test_fragment_scan_survives_a_wrong_fast_connectivity(monkeypatch):
+    import wheelfree.connectivity as conn
+
     # the scan finds kappa itself: a fast path that answers kappa - 1 for
-    # kappa >= 2 changes the ends, not the scan, and the cross-check sees it
+    # kappa >= 2 changes the ends, not the scan, and the cross-check sees it.
+    # Every fast route to kappa, vertex_connectivity and the threshold test
+    # the pool filter uses alike, runs the one capped search.
     graphs = (cycle(5), bowtie(), petersen())
     kappas = [vertex_connectivity(g) for g in graphs]
     scans = [brute_fragments(g) for g in graphs]
     assert kappas == [2, 1, 3]
-    for module in ("connectivity", "oracles"):
-        monkeypatch.setattr(f"wheelfree.{module}.vertex_connectivity",
-                            lambda g: vertex_connectivity(g) - (vertex_connectivity(g) >= 2))
+    real = conn._connectivity
+    monkeypatch.setattr(conn, "_connectivity", lambda *a: real(*a) - (real(*a) >= 2))
     for g, kappa, scan in zip(graphs, kappas, scans):
         assert brute_fragments(g) == scan
         assert (ends(g) != _minimal_fragments(g)) == (kappa >= 2)

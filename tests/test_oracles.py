@@ -112,6 +112,19 @@ def test_enumeration_filters():
     assert all(brute_has_k_wheel(g, 3) is None for g in pool)
 
 
+def test_connectivity_filter_is_the_exact_predicate():
+    # a threshold test now, it accepts what "kappa >= k" on the exact kappa
+    # did, and every graph when k <= 0
+    for k in range(-1, 7):
+        for n in range(1, 6):
+            want = [g for g in enumerate_graphs(n) if vertex_connectivity(g) >= k]
+            assert list(enumerate_graphs(n, connectivity_at_least=k)) == want, (n, k)
+        want = [g for g in random_pool(11, 0.55, 7, 300) if vertex_connectivity(g) >= k]
+        assert list(random_pool(11, 0.55, 7, len(want), connectivity_at_least=k)) == want, k
+        if k <= 0:
+            assert len(want) == 300
+
+
 def test_enumeration_rejects_large():
     with pytest.raises(GraphError):
         enumerate_graphs(9)

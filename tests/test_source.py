@@ -69,7 +69,8 @@ def test_oracles_share_nothing_with_the_fast_paths():
     # a connectivity oracle that asks the fast path is caught, and so is a
     # fast path reached through a helper
     for old, new, leak in (
-        ("    return n - 1\n", "    return vertex_connectivity(g)\n", "vertex_connectivity"),
+        ("    return n - 1\n", "    return n - 1 if _is_k_connected(g, n - 1) else 0\n",
+         "_is_k_connected"),
         ("    if g.n > budget:", "    if g.n > budget or find_k_wheel(g, 4):", "find_k_wheel"),
     ):
         assert old in source

@@ -27,7 +27,6 @@ from wheelfree import (
     reduction_witness,
     tight_example,
     verify_statement,
-    vertex_connectivity,
 )
 from wheelfree.oracles import brute_chromatic_number, brute_has_k_wheel
 from wheelfree.structure import STATEMENTS
@@ -326,16 +325,18 @@ def test_verify_thm47_counts_branches():
 
 def test_verify_thm47_computes_kappa_once(monkeypatch):
     import wheelfree.connectivity
-    import wheelfree.structure
 
+    # every route to kappa, the threshold test and vertex_connectivity
+    # alike, runs the one capped search; it must run once, on the graph
+    # itself, and never on its end blocks
     calls = []
+    real = wheelfree.connectivity._connectivity
 
-    def counted(g):
-        calls.append(g.n)
-        return vertex_connectivity(g)
+    def counted(adj, n, cap, degs):
+        calls.append(n)
+        return real(adj, n, cap, degs)
 
-    monkeypatch.setattr(wheelfree.connectivity, "vertex_connectivity", counted)
-    monkeypatch.setattr(wheelfree.structure, "vertex_connectivity", counted)
+    monkeypatch.setattr(wheelfree.connectivity, "_connectivity", counted)
     g = k44_subdivided()
     r = verify_statement(g, "thm-4.7")
     assert r.counters == {"low-degree-branch": 1, "k44-block-branch": 1}

@@ -19,7 +19,8 @@ to, the text it shows the world, so a change of its result types that
 keeps that text keeps the line.
 The ``pools`` family instead hashes the graph6 stream of each of the
 pool descriptors in ``POOLS``, so it pins the order and the draws of
-exhaustive and random pools.  Stdlib only.
+exhaustive and random pools, and the connectivity filter on graphs of
+up to 30 vertices.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ FAMILIES = (
 
 
 # every labeled n=6 graph, n=5 under each filter, the random-dense bench
-# pools of seed 1 and the filtered pools of acceptance criterion 4c
+# pools of seed 1, the filtered pools of acceptance criterion 4c, and
+# connectivity-filtered pools past the oracles' reach
 POOLS = (
     "exhaustive:n=6",
     "exhaustive:n=5,min-degree=2",
@@ -171,6 +173,9 @@ POOLS = (
     "random:n=8,p=0.65,seed=801,count=3400,connectivity-at-least=4",
     "random:n=9,p=0.6,seed=901,count=3400,connectivity-at-least=4",
     "random:n=10,p=0.55,seed=1001,count=3400,connectivity-at-least=4",
+    "random:n=20,p=0.3,seed=2001,count=300,connectivity-at-least=3",
+    "random:n=30,p=0.25,seed=3001,count=200,connectivity-at-least=4",
+    "random:n=16,p=0.4,seed=1601,count=300,connectivity-at-least=5",
 )
 
 
