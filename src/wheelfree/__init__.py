@@ -61,6 +61,7 @@ from .structure import (
     Coloring,
     ColoringResult,
     LowDegree,
+    PoolReport,
     STATEMENTS,
     Stuck,
     TwinPair,
@@ -69,6 +70,7 @@ from .structure import (
     color4,
     find_twins,
     reduction_witness,
+    verify_pool,
     verify_statement,
 )
 from .oracles import (
@@ -108,6 +110,7 @@ __all__ = [
     "TwinPair", "LowDegree", "Stuck", "Coloring", "ColoringResult",
     "find_twins", "reduction_witness", "color4",
     "VerifyStatus", "VerifyResult", "verify_statement", "STATEMENTS",
+    "PoolReport", "verify_pool",
     # oracles
     "brute_chromatic_number", "brute_has_k_wheel", "brute_vertex_connectivity",
     "brute_fragments",

@@ -17,7 +17,6 @@ import argparse
 import sys
 import time
 import warnings
-from collections import Counter
 
 from . import __version__
 from . import generators
@@ -27,7 +26,7 @@ from .errors import (BudgetExceededError, GraphError, NoFragmentsError, ParseErr
 from .formats import GRAPH6_MAX_N, read_graphs, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
-from .structure import VerifyStatus, color4, verify_statement
+from .structure import VerifyStatus, color4, verify_pool
 from .wheels import find_k_wheel, wm_certificate
 
 EXIT_OK = 0
@@ -168,27 +167,20 @@ def cmd_verify(args) -> int:
     pool = parse_pool_descriptor(args.pool)
 
     def body(out):
-        counts: Counter[VerifyStatus] = Counter()
-        counters: Counter[str] = Counter()
-        counterexamples = []
-        for g in pool:
-            result = verify_statement(g, args.statement)
-            counts[result.status] += 1
-            counters.update(result.counters)
-            if result.violated:
-                counterexamples.append((g, result))
+        report = verify_pool(pool, args.statement)
+        counts = report.counts
         out += ("", f"summary: graphs={sum(counts.values())} pass={counts[VerifyStatus.PASS]} "
                 f"not-applicable={counts[VerifyStatus.NOT_APPLICABLE]} "
                 f"counterexamples={counts[VerifyStatus.COUNTEREXAMPLE]} "
                 f"budget-exceeded={counts[VerifyStatus.BUDGET_EXCEEDED]}")
-        out.extend(f"count {key}: {counters[key]}" for key in sorted(counters))
-        if counterexamples:
+        out.extend(f"count {key}: {report.counters[key]}" for key in sorted(report.counters))
+        if report.counterexamples:
             path = args.out or f"counterexample-{args.statement}.txt"
             with open(path, "w") as fh:
-                for g, result in counterexamples:
+                for g, result in report.counterexamples:
                     fh.write(f"graph6: {to_graph6(g)}\n{render_verify_result(result)}\n\n")
             out.append(f"counterexample-file: {path}")
-        return bool(counterexamples)
+        return bool(report.counterexamples)
 
     return _report(args, "verify", [f"statement: {args.statement}", f"pool: {pool.descriptor}"],
                    body)
@@ -328,6 +320,9 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", ParseWarning)
         warnings.showwarning = _print_warning
         try:
+            # wheel and conjecture refuse --k below 3 before reading any graph
+            if getattr(args, "k", 3) < 3:
+                raise GraphError("wheels need at least 3 spokes")
             return args.func(args)
         except (GraphError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -366,7 +366,7 @@ def extend_fan(g: Graph, fan: Fan, k: int) -> Fan:
     fan.validate(g)
     if len(fan.targets) < k:
         raise GraphError(f"need at least {k} targets, got {len(fan.targets)}")
-    if vertex_connectivity(g) < k:
+    if not _is_k_connected(g, k):
         raise GraphError(f"graph is not {k}-connected")
     n = g.n
     adj = g.masks

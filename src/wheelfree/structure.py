@@ -15,9 +15,10 @@ in the input's own ids.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from .connectivity import _end_block, _ends, _is_k_connected
 from .errors import (
@@ -299,8 +300,6 @@ def _is_k44(g: Graph) -> bool:
 
 def _check_four_connected(g: Graph) -> tuple:
     """A 4-connected, almost-4-wheel-free graph is K_{4,4}."""
-    if not _is_k_connected(g, 4):
-        return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     almost, centers = _almost_4_wheel_free_check(g)
     if not almost:
         return VerifyStatus.NOT_APPLICABLE, f"not almost 4-wheel-free ({len(centers)}+ centers)"
@@ -312,8 +311,6 @@ def _check_four_connected(g: Graph) -> tuple:
 
 def _check_ends_of_3_connected(g: Graph) -> tuple:
     """With connectivity exactly 3, ends avoiding all 4-wheel centers are trivial."""
-    if not _is_k_connected(g, 3, exactly=True):
-        return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     if g.is_complete():
         return VerifyStatus.PASS, "no ends (complete graph)"
     end_list = _ends(g, 3)
@@ -327,8 +324,6 @@ def _check_ends_of_3_connected(g: Graph) -> tuple:
 
 def _check_two_degree_three(g: Graph) -> tuple:
     """4-wheel-free graphs of connectivity 3 have two vertices of degree 3."""
-    if not _is_k_connected(g, 3, exactly=True):
-        return VerifyStatus.NOT_APPLICABLE, "connectivity != 3"
     count = sum(1 for v in g.vertices() if g.degree(v) == 3)
     if count >= 2:
         return VerifyStatus.PASS, f"{count} vertices of degree 3"
@@ -339,8 +334,6 @@ def _check_two_degree_three(g: Graph) -> tuple:
 def _check_ends_of_2_connected(g: Graph) -> tuple:
     """4-wheel-free, connectivity 2: every end has a vertex of degree <= 3
     in the ambient graph, or its end block is K_{4,4}."""
-    if not _is_k_connected(g, 2, exactly=True):
-        return VerifyStatus.NOT_APPLICABLE, "connectivity != 2"
     verdict = _wheel_verdict(g)
     if verdict is not None:
         return verdict
@@ -363,8 +356,6 @@ def _check_ends_of_2_connected(g: Graph) -> tuple:
 
 def _check_five_connected_centers(g: Graph) -> tuple:
     """5-connected graphs: every vertex is a 4-wheel center."""
-    if not _is_k_connected(g, 5):
-        return VerifyStatus.NOT_APPLICABLE, "not 5-connected"
     missing = [v for v in g.vertices() if is_wheel_center(g, v, 4) is None]
     if missing:
         return VerifyStatus.COUNTEREXAMPLE, f"vertices {missing} are not 4-wheel centers"
@@ -373,8 +364,6 @@ def _check_five_connected_centers(g: Graph) -> tuple:
 
 def _check_triangle_centers(g: Graph) -> tuple:
     """4-connected graphs: every vertex on a triangle is a 4-wheel center."""
-    if not _is_k_connected(g, 4):
-        return VerifyStatus.NOT_APPLICABLE, "not 4-connected"
     adj = g.masks
     in_triangle = [v for v in g.vertices()
                    if any(adj[u] & adj[v] for u in bits(adj[v]))]
@@ -386,21 +375,33 @@ def _check_triangle_centers(g: Graph) -> tuple:
     return VerifyStatus.PASS, f"{len(in_triangle)} triangle vertices are all centers"
 
 
+# id -> (statement, connectivity hypothesis, checker).  A hypothesis (k, exactly)
+# is "connectivity exactly k" with ``exactly`` and "k-connected" without; only
+# ``verify_statement`` tests it, before the checker runs.
 STATEMENTS = {
-    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3", _check_witness),
-    "thm-1.4": ("alias of thm-4.8", _check_witness),
-    "thm-1.1": ("3-wheel-free: twin pair or a vertex of degree <= 2",
+    "thm-4.8": ("4-wheel-free: twin pair or a vertex of degree <= 3", None, _check_witness),
+    "thm-1.4": ("alias of thm-4.8", None, _check_witness),
+    "thm-1.1": ("3-wheel-free: twin pair or a vertex of degree <= 2", None,
                 lambda g: _check_witness(g, 3)),
-    "thm-1.2": ("4-wheel-free: some vertex has degree <= 4", _check_degree_bound),
-    "cor-1.5": ("4-wheel-free graphs are 4-colorable", _check_coloring),
-    "thm-4.4": ("4-connected almost-4-wheel-free graphs are K_{4,4}", _check_four_connected),
-    "thm-4.5": ("kappa=3: ends without 4-wheel centers are trivial", _check_ends_of_3_connected),
-    "cor-4.6": ("4-wheel-free, kappa=3: two vertices of degree 3", _check_two_degree_three),
+    "thm-1.2": ("4-wheel-free: some vertex has degree <= 4", None, _check_degree_bound),
+    "cor-1.5": ("4-wheel-free graphs are 4-colorable", None, _check_coloring),
+    "thm-4.4": ("4-connected almost-4-wheel-free graphs are K_{4,4}", (4, False),
+                _check_four_connected),
+    "thm-4.5": ("kappa=3: ends without 4-wheel centers are trivial", (3, True),
+                _check_ends_of_3_connected),
+    "cor-4.6": ("4-wheel-free, kappa=3: two vertices of degree 3", (3, True),
+                _check_two_degree_three),
     "thm-4.7": ("4-wheel-free, kappa=2: low-degree vertex in each end or K_{4,4} block",
-                _check_ends_of_2_connected),
-    "lemma-4.2": ("5-connected: every vertex centers a 4-wheel", _check_five_connected_centers),
-    "lemma-4.3": ("4-connected: triangle vertices center 4-wheels", _check_triangle_centers),
+                (2, True), _check_ends_of_2_connected),
+    "lemma-4.2": ("5-connected: every vertex centers a 4-wheel", (5, False),
+                  _check_five_connected_centers),
+    "lemma-4.3": ("4-connected: triangle vertices center 4-wheels", (4, False),
+                  _check_triangle_centers),
 }
+
+
+def _unknown_statement(statement: str) -> GraphError:
+    return GraphError(f"unknown statement {statement!r}; known: {sorted(STATEMENTS)}")
 
 
 def verify_statement(g: Graph, statement: str) -> VerifyResult:
@@ -408,16 +409,22 @@ def verify_statement(g: Graph, statement: str) -> VerifyResult:
 
     Returns pass, not-applicable (preconditions unmet, with evidence),
     budget-exceeded, or a counterexample report that would constitute a
-    disproof.  The empty graph is not-applicable for every statement.
+    disproof.  The empty graph is not-applicable for every statement, and
+    so is a graph that fails the statement's connectivity hypothesis,
+    with detail ``connectivity != k`` or ``not k-connected``.
     This is where every verdict gets its id and where a
     TheoremViolationError raised by a checker becomes a counterexample.
     """
     try:
-        _, checker = STATEMENTS[statement]
+        _, hypothesis, checker = STATEMENTS[statement]
     except KeyError:
-        raise GraphError(f"unknown statement {statement!r}; known: {sorted(STATEMENTS)}") from None
+        raise _unknown_statement(statement) from None
     if g.n == 0:
         verdict = VerifyStatus.NOT_APPLICABLE, "empty graph"
+    elif hypothesis is not None and not _is_k_connected(g, *hypothesis):
+        k, exactly = hypothesis
+        verdict = VerifyStatus.NOT_APPLICABLE, (
+            f"connectivity != {k}" if exactly else f"not {k}-connected")
     else:
         try:
             verdict = checker(g)
@@ -426,3 +433,31 @@ def verify_statement(g: Graph, statement: str) -> VerifyResult:
         except TheoremViolationError as exc:
             verdict = VerifyStatus.COUNTEREXAMPLE, str(exc)
     return VerifyResult(statement, *verdict)
+
+
+@dataclass
+class PoolReport:
+    """One statement's verdicts over a pool: graphs per status, the
+    checkers' counters summed, and each counterexample with its graph."""
+
+    counts: Counter[VerifyStatus] = field(default_factory=Counter)
+    counters: Counter[str] = field(default_factory=Counter)
+    counterexamples: list[tuple[Graph, VerifyResult]] = field(default_factory=list)
+
+    def add(self, g: Graph, result: VerifyResult) -> None:
+        self.counts[result.status] += 1
+        for key, count in result.counters.items():
+            self.counters[key] += count
+        if result.violated:
+            self.counterexamples.append((g, result))
+
+
+def verify_pool(pool: Iterable[Graph], statement: str) -> PoolReport:
+    """``verify_statement`` over every graph of ``pool``, tallied.  An
+    unknown id is refused before the walk, so an empty pool cannot hide it."""
+    if statement not in STATEMENTS:
+        raise _unknown_statement(statement)
+    report = PoolReport()
+    for g in pool:
+        report.add(g, verify_statement(g, statement))
+    return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator
 
-from .connectivity import vertex_connectivity
+from .connectivity import _is_k_connected
 from .errors import CertificateError, GraphError, TheoremViolationError
 from .graph import Graph, VertexSet, bits, induced_subgraph, reach
 
@@ -300,6 +300,6 @@ def wm_certificate(g: Graph, x: int, targets: VertexSet) -> WMCertificate | None
             return WMCertificate(x=x, targets=xs, cutset=sset, components=comps)
     # guarantee regime: with g - x 3-connected a certificate must exist
     gx, _ = induced_subgraph(g, [v for v in g.vertices() if v != x])
-    if vertex_connectivity(gx) >= 3:
+    if _is_k_connected(gx, 3):
         raise TheoremViolationError("no scattering cutset found although one is guaranteed")
     return None

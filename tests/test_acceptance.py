@@ -3,8 +3,8 @@ scale against independent brute force, zero tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines.  The whole suite is single-process and deterministic; the
-full test run, this suite included, took 453 s and 758 s in two runs on
-a shared 2-CPU machine (Python 3.11).
+full test run, this suite included, took 364 s and 418 s (439 tests) in
+two runs on a shared 2-CPU machine (Python 3.11).
 """
 
 import time
@@ -15,6 +15,7 @@ import pytest
 from wheelfree import (
     Graph,
     GraphError,
+    PoolReport,
     VerifyStatus,
     brute_chromatic_number,
     brute_has_k_wheel,
@@ -40,6 +41,7 @@ from wheelfree import (
     to_dimacs_col,
     to_edge_list,
     to_graph6,
+    verify_pool,
     verify_statement,
     vertex_connectivity,
 )
@@ -67,19 +69,13 @@ class Survey:
         self.wheel_disagreements = []
         self.kappa_hist = {}
         self.wheel_free_count = 0
-        self.status_counts = {
-            sid: {status: 0 for status in VerifyStatus}
-            for sid in ("thm-4.4", "thm-4.5", "cor-4.6", "thm-4.7")
-        }
-        self.thm47_branches = {"low-degree-branch": 0, "k44-block-branch": 0}
-        self.violation_examples = {}
+        self.reports = {sid: PoolReport() for sid in ("thm-4.4", "thm-4.5", "cor-4.6", "thm-4.7")}
+        self.thm47_branches = self.reports["thm-4.7"].counters
         self.elapsed = 0.0
 
-    def record_violation(self, sid, g, detail):
-        # criterion 5b checks every thm-4.5 counterexample; others keep a sample
-        examples = self.violation_examples.setdefault(sid, [])
-        if sid == "thm-4.5" or len(examples) < 12:
-            examples.append((to_graph6(g), detail))
+    def verify(self, g, *sids):
+        for sid in sids:
+            self.reports[sid].add(g, verify_statement(g, sid))
 
 
 @pytest.fixture(scope="module")
@@ -106,23 +102,11 @@ def survey():
             else:
                 s.wheel_free_count += 1
             if kf >= 4:
-                r = verify_statement(g, "thm-4.4")
-                s.status_counts["thm-4.4"][r.status] += 1
-                if r.violated:
-                    s.record_violation("thm-4.4", g, r.detail)
+                s.verify(g, "thm-4.4")
             elif kf == 3:
-                for sid in ("cor-4.6", "thm-4.5"):
-                    r = verify_statement(g, sid)
-                    s.status_counts[sid][r.status] += 1
-                    if r.violated:
-                        s.record_violation(sid, g, r.detail)
+                s.verify(g, "cor-4.6", "thm-4.5")
             elif kf == 2:
-                r = verify_statement(g, "thm-4.7")
-                s.status_counts["thm-4.7"][r.status] += 1
-                for key, val in r.counters.items():
-                    s.thm47_branches[key] = s.thm47_branches.get(key, 0) + val
-                if r.violated:
-                    s.record_violation("thm-4.7", g, r.detail)
+                s.verify(g, "thm-4.7")
     s.elapsed = time.perf_counter() - started
     return s
 
@@ -134,13 +118,8 @@ def survey():
 
 def test_criterion_01_reduction_exhaustive_n7():
     started = time.perf_counter()
-    counts = {status: 0 for status in VerifyStatus}
-    violations = 0
-    for g in enumerate_graphs(7):
-        r = verify_statement(g, "thm-4.8")
-        counts[r.status] += 1
-        if r.violated:
-            violations += 1
+    counts = verify_pool(enumerate_graphs(7), "thm-4.8").counts
+    violations = counts[VerifyStatus.COUNTEREXAMPLE]
     elapsed = time.perf_counter() - started
     total = sum(counts.values())
     ok = violations == 0 and total == N7_CODES and elapsed < 600
@@ -160,17 +139,10 @@ def test_criterion_01_reduction_exhaustive_n7():
 
 def test_criterion_02_coloring_exhaustive_n7():
     started = time.perf_counter()
-    colored = 0
-    skipped = 0
-    violations = 0
-    for g in enumerate_graphs(7):
-        r = verify_statement(g, "cor-1.5")
-        if r.status is VerifyStatus.PASS:
-            colored += 1
-        elif r.status is VerifyStatus.NOT_APPLICABLE:
-            skipped += 1
-        if r.violated:
-            violations += 1
+    counts = verify_pool(enumerate_graphs(7), "cor-1.5").counts
+    colored = counts[VerifyStatus.PASS]
+    skipped = counts[VerifyStatus.NOT_APPLICABLE]
+    violations = counts[VerifyStatus.COUNTEREXAMPLE]
     elapsed = time.perf_counter() - started
     ok = violations == 0 and colored + skipped == N7_CODES
     _report(
@@ -188,16 +160,9 @@ def test_criterion_02_coloring_exhaustive_n7():
 
 def test_criterion_03_three_wheel_reduction():
     started = time.perf_counter()
-    counts = {status: 0 for status in VerifyStatus}
-    violations = 0
-    total = 0
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            total += 1
-            r = verify_statement(g, "thm-1.1")
-            counts[r.status] += 1
-            if r.violated:
-                violations += 1
+    counts = verify_pool((g for n in range(1, 8) for g in enumerate_graphs(n)), "thm-1.1").counts
+    violations = counts[VerifyStatus.COUNTEREXAMPLE]
+    total = sum(counts.values())
     elapsed = time.perf_counter() - started
     ok = violations == 0
     _report(
@@ -220,7 +185,7 @@ def test_criterion_04a_k44_passes():
 
 
 def test_criterion_04b_vacuous_below_eight(survey):
-    counts = survey.status_counts["thm-4.4"]
+    counts = survey.reports["thm-4.4"].counts
     applicable = counts[VerifyStatus.PASS] + counts[VerifyStatus.COUNTEREXAMPLE]
     ok = applicable == 0 and counts[VerifyStatus.COUNTEREXAMPLE] == 0
     _report(
@@ -271,7 +236,7 @@ def test_criterion_04c_pool_8_to_10():
 
 
 def test_criterion_05a_kappa3_degree_three(survey):
-    c46 = survey.status_counts["cor-4.6"]
+    c46 = survey.reports["cor-4.6"].counts
     kappa3 = survey.kappa_hist.get(3, 0)
     violations = c46[VerifyStatus.COUNTEREXAMPLE]
     ok = violations == 0 and sum(c46.values()) == kappa3
@@ -346,11 +311,11 @@ def test_criterion_05b_kappa3_ends_without_centers(survey):
     (d) the counterexamples are exactly the 60 labelings of K_{3,3}+e, so
         there are none at n = 7.
     """
-    c45 = survey.status_counts["thm-4.5"]
+    c45 = survey.reports["thm-4.5"].counts
     kappa3 = survey.kappa_hist.get(3, 0)
     passed = c45[VerifyStatus.PASS]
     violations = c45[VerifyStatus.COUNTEREXAMPLE]
-    found = [code for code, _ in survey.violation_examples.get("thm-4.5", [])]
+    found = [to_graph6(g) for g, _ in survey.reports["thm-4.5"].counterexamples]
     failures = []
 
     # (a) every kappa=3 graph gets a verdict
@@ -448,10 +413,10 @@ def test_criterion_05c_thm45_triangle_expansion_family():
 
 
 def test_criterion_06_kappa2_structure(survey):
-    c47 = survey.status_counts["thm-4.7"]
+    c47 = survey.reports["thm-4.7"].counts
     kappa2 = survey.kappa_hist.get(2, 0)
     violations = c47[VerifyStatus.COUNTEREXAMPLE]
-    examples = survey.violation_examples.get("thm-4.7", [])
+    examples = [(to_graph6(g), r.detail) for g, r in survey.reports["thm-4.7"].counterexamples]
     ok = (
         violations == 0
         and sum(c47.values()) == kappa2
@@ -740,3 +705,73 @@ def test_criterion_10_parsers_and_counts():
         f"isomorphism classes: n=4 gives {classes4} (want 11), n=5 gives {classes5} (want 34) "
         f"in {elapsed:.0f}s",
     )
+
+
+# -------------------------------------------------------------------------
+# criterion 11: the catalog and the oracles over every class on 8 vertices
+# -------------------------------------------------------------------------
+
+N8_CLASSES = 12_346
+
+# id -> (pass, not-applicable, counterexample) over the n=8 classes
+N8_COUNTS = {
+    "thm-4.8": (12_093, 253, 0),
+    "thm-1.1": (10_577, 1_769, 0),
+    "thm-1.2": (12_300, 46, 0),
+    "cor-1.5": (4_000, 8_346, 0),
+    "thm-4.4": (1, 12_345, 0),
+    "thm-4.5": (2_003, 10_342, 1),
+    "cor-4.6": (1_384, 10_962, 0),
+    "thm-4.7": (1_148, 11_198, 0),
+    "lemma-4.2": (39, 12_307, 0),
+    "lemma-4.3": (384, 11_962, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def classes8():
+    return list(enumerate_graphs(8, dedup=True))
+
+
+@pytest.mark.parametrize("sid", N8_COUNTS)
+def test_criterion_11a_catalog_exhaustive_n8(classes8, sid):
+    """Every catalog id over the 12,346 classes on 8 vertices, with no
+    budget exceeded.  The one thm-4.5 counterexample is the n=8 member of
+    criterion 5c's family, and thm-4.7 settles every end of a kappa=2
+    graph by its low-degree branch."""
+    started = time.perf_counter()
+    report = verify_pool(classes8, sid)
+    counts = report.counts
+    got = tuple(counts[status] for status in (
+        VerifyStatus.PASS, VerifyStatus.NOT_APPLICABLE, VerifyStatus.COUNTEREXAMPLE))
+    found = [to_graph6(canonical_form(g)) for g, _ in report.counterexamples]
+    branches = {key: report.counters[key] for key in ("low-degree-branch", "k44-block-branch")}
+    elapsed = time.perf_counter() - started
+    ok = (len(classes8) == N8_CLASSES and got == N8_COUNTS[sid]
+          and counts[VerifyStatus.BUDGET_EXCEEDED] == 0
+          and found == (["GxQ?w{"] if sid == "thm-4.5" else [])
+          and (sid != "thm-4.7"
+               or branches == {"low-degree-branch": 3_503, "k44-block-branch": 0}))
+    _report(
+        f"11a {sid}",
+        ok,
+        f"{len(classes8)} classes n=8: pass={got[0]} not-applicable={got[1]} "
+        f"counterexamples={got[2]} {found} budget-exceeded="
+        f"{counts[VerifyStatus.BUDGET_EXCEEDED]} counters={dict(report.counters)} "
+        f"in {elapsed:.1f}s (want {N8_COUNTS[sid]})",
+    )
+
+
+def test_criterion_11b_oracle_agreement_n8(classes8):
+    kappa = [to_graph6(g) for g in classes8
+             if vertex_connectivity(g) != brute_vertex_connectivity(g)]
+    wheel = []
+    for g in classes8:
+        wf = find_k_wheel(g, 4)
+        if (wf is None) != (brute_has_k_wheel(g, 4) is None):
+            wheel.append(to_graph6(g))
+        elif wf is not None:
+            wf.validate(g, 4)
+    ok = len(classes8) == N8_CLASSES and not kappa and not wheel
+    _report("11b", ok, f"{len(classes8)} classes n=8: kappa disagreements={kappa[:8]} "
+                       f"wheel disagreements={wheel[:8]}")

@@ -304,7 +304,7 @@ def test_verify_counterexample_exit_and_file(capsys, tmp_path, monkeypatch):
     def always_fails(g):
         return VerifyStatus.COUNTEREXAMPLE, "synthetic"
 
-    monkeypatch.setitem(STATEMENTS, "test-fail", ("synthetic failure", always_fails))
+    monkeypatch.setitem(STATEMENTS, "test-fail", ("synthetic failure", None, always_fails))
     out_file = tmp_path / "ce.txt"
     code, out, _ = run(
         capsys, "verify", "test-fail", "--pool", "exhaustive:n=2", "--out", str(out_file)
@@ -363,6 +363,21 @@ def test_verify_real_counterexample(capsys, tmp_path):
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "thm-0.0", "--pool", "exhaustive:n=2")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "bogus", "--pool", "file:{}"], "unknown statement 'bogus'"),
+    (["wheel", "--k", "2", "{}"], "wheels need at least 3 spokes"),
+    (["conjecture", "--k", "2", "--pool", "file:{}"], "wheels need at least 3 spokes"),
+])
+def test_invalid_argument_exits_usage_on_an_empty_input(capsys, tmp_path, argv, message):
+    """An unknown id or a --k below 3 is refused before any graph is read,
+    so an input that holds no graph cannot turn it into a clean report."""
+    f = tmp_path / "empty.g6"
+    f.write_text("")
+    code, out, err = run(capsys, *(a.format(f) for a in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_verify_non_numeric_descriptor_values_exit_usage(capsys):

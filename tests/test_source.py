@@ -93,3 +93,23 @@ def test_wheels_are_built_in_one_place_and_by_the_oracle():
     # oracle builds its own, so it stays independent of the fast search
     built = set().union(*(wheel_builders(path) for path in MODULES))
     assert built == {("wheels.py", "_wheel_at"), ("oracles.py", "brute_has_k_wheel")}
+
+
+def k_connected_callers(source: str) -> set[str]:
+    """Top-level functions of ``source`` that call ``_is_k_connected``."""
+    return {top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_is_k_connected"
+                for node in ast.walk(top))}
+
+
+def test_statement_hypotheses_are_tested_in_one_place():
+    # the catalog declares each connectivity hypothesis and verify_statement
+    # alone tests it, so no checker tests connectivity itself
+    source = (Path(wheelfree.__file__).parent / "structure.py").read_text()
+    assert k_connected_callers(source) == {"verify_statement"}
+    old = '''    """5-connected graphs: every vertex is a 4-wheel center."""\n'''
+    assert old in source
+    planted = source.replace(old, old + "    if not _is_k_connected(g, 5):\n"
+                                        "        return VerifyStatus.NOT_APPLICABLE, 'not 5-connected'\n")
+    assert k_connected_callers(planted) == {"verify_statement", "_check_five_connected_centers"}
