@@ -21,9 +21,9 @@ import warnings
 from . import __version__
 from . import generators
 from .certificates import render, render_coloring, render_trace, render_verify_result, render_wm
-from .errors import (BudgetExceededError, GraphError, NoFragmentsError, ParseError, ParseWarning,
+from .errors import (BudgetExceededError, GraphError, NoFragmentsError, ParseWarning,
                      TheoremViolationError)
-from .formats import GRAPH6_MAX_N, read_graphs, to_graph6
+from .formats import GRAPH6_MAX_N, read_file, to_graph6
 from .connectivity import ends, vertex_connectivity
 from .oracles import brute_chromatic_number, parse_pool_descriptor
 from .structure import VerifyStatus, color4, verify_pool
@@ -32,16 +32,6 @@ from .wheels import find_k_wheel, wm_certificate
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
-
-
-def _read_input(path: str) -> str:
-    try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path) as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: input is not text ({exc.reason})") from None
 
 
 def _report(args, command: str, header: list[str], body) -> int:
@@ -66,7 +56,7 @@ def _per_graph(args, command: str, report, count_key: str | None = None) -> int:
     TheoremViolationError from ``report`` is that graph's
     ``counterexample:`` line and makes the report a counterexample."""
     def body(out):
-        graphs = read_graphs(_read_input(args.input))
+        graphs = read_file(args.input)
         counted = 0
         found = False
         for i, g in enumerate(graphs, start=1):
@@ -153,7 +143,11 @@ def cmd_wm_cert(args) -> int:
         if max(ids) >= g.n:
             out.append("status: no-such-vertex")
             return
-        cert = wm_certificate(g, args.x, targets)
+        try:
+            cert = wm_certificate(g, args.x, targets)
+        except GraphError as exc:  # a refusal that depends on the graph
+            out.append(f"status: not-applicable ({exc})")
+            return
         if cert is None:
             out.append("status: no-certificate")
         else:
@@ -178,7 +172,9 @@ def cmd_verify(args) -> int:
             path = args.out or f"counterexample-{args.statement}.txt"
             with open(path, "w") as fh:
                 for g, result in report.counterexamples:
-                    fh.write(f"graph6: {to_graph6(g)}\n{render_verify_result(result)}\n\n")
+                    name = (f"graph6: {to_graph6(g)}" if g.n <= GRAPH6_MAX_N else
+                            f"vertices: {g.n}\nedges: {' '.join(f'{u}-{v}' for u, v in g.edges())}")
+                    fh.write(f"{name}\n{render_verify_result(result)}\n\n")
             out.append(f"counterexample-file: {path}")
         return bool(report.counterexamples)
 

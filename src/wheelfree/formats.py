@@ -11,6 +11,7 @@ the same fields.
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 from .errors import ParseError, ParseWarning
@@ -248,3 +249,14 @@ def read_graphs(text) -> list[Graph]:
     if fmt == "dimacs":
         return [parse_dimacs_col(text)]
     return [parse_edge_list(text)]
+
+
+def read_file(path: str) -> list[Graph]:
+    """Parse the graph file at ``path`` (``-`` is standard input) as text."""
+    try:
+        if path == "-":
+            return read_graphs(sys.stdin.read())
+        with open(path) as fh:
+            return read_graphs(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: input is not text ({exc.reason})") from None

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from . import generators as gen
 from .connectivity import _is_k_connected
 from .errors import BudgetExceededError, GraphError, NoFragmentsError
-from .formats import parse_graph6_lines, to_graph6
+from .formats import read_file, to_graph6
 from .graph import Graph, bits, reach
 from .isomorphism import canonical_code
 from .wheels import Wheel, find_k_wheel, normalize_cycle
@@ -271,14 +271,6 @@ class GraphPool:
                 count += 1
         return count
 
-    @classmethod
-    def from_graph6_file(cls, path) -> "GraphPool":
-        def factory() -> Iterator[Graph]:
-            with open(path, "rb") as fh:
-                return iter(parse_graph6_lines(fh.read()))
-
-        return cls(f"file:{path}", factory)
-
 
 def enumerate_graphs(n: int, *, min_degree: int | None = None,
                      connectivity_at_least: int | None = None,
@@ -479,7 +471,7 @@ def parse_pool_descriptor(text: str) -> GraphPool:
     if kind == "curated":
         return curated_pool(rest)
     if kind == "file":
-        return GraphPool.from_graph6_file(rest)
+        return GraphPool(text, lambda: iter(read_file(rest)))
     if kind not in _POOL_KEYS:
         raise GraphError(f"unknown pool kind {kind!r}")
     keys, flags = _POOL_KEYS[kind]

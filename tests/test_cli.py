@@ -1,10 +1,11 @@
 """CLI behavior: formats, exit codes, report shapes."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wheelfree import Graph, complete, complete_bipartite, cycle, petersen, to_graph6
 from wheelfree.cli import EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE, main
+from wheelfree.errors import ParseError
 from wheelfree.structure import STATEMENTS, VerifyStatus
 
 
@@ -910,3 +911,97 @@ def test_fuzz_pool_commands(capsys, tmp_path, statement, descriptor, pool_bytes,
     _check_contract(capsys, ["verify", statement, "--pool", descriptor, "--out", str(bundle)],
                     bundle)
     _check_contract(capsys, ["conjecture", "--k", k, "--pool", descriptor])
+
+
+def test_file_pools_take_every_input_format(capsys, tmp_path):
+    """A file: pool sniffs its format like a per-graph input: K_{3,3}+e as
+    graph6, DIMACS and an edge list gives one thm-4.5 report and bundle."""
+    edges = list(_K33E.edges())
+    texts = {"k33e.g6": to_graph6(_K33E) + "\n",
+             "k33e.col": _dimacs(6, [(u + 1, v + 1) for u, v in edges]),
+             "k33e.txt": _edge_list(6, edges)}
+    bundle = tmp_path / "bundle.txt"
+    results = set()
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "verify", "thm-4.5", "--pool", f"file:{tmp_path / name}",
+                             "--out", str(bundle))
+        assert (code, err) == (EXIT_COUNTEREXAMPLE, ""), name
+        assert f"pool: file:{tmp_path / name}\n" in out
+        results.add((out.partition("\n\n")[2], bundle.read_text()))
+    [(summary, text)] = results
+    assert summary.startswith("summary: graphs=1 pass=0 not-applicable=0 counterexamples=1 ")
+    assert text.startswith(f"graph6: {to_graph6(_K33E)}\nstatement: thm-4.5\n")
+
+
+def test_non_text_file_gets_one_error_from_every_reader(capsys, tmp_path):
+    f = tmp_path / "bad.g6"
+    f.write_bytes(b"\xff\xfe\x80C~\n")
+    expected = (EXIT_USAGE, "", f"error: {f}: input is not text (invalid start byte)\n")
+    assert run(capsys, "kappa", str(f)) == expected
+    assert run(capsys, "verify", "thm-4.8", "--pool", f"file:{f}") == expected
+    assert run(capsys, "conjecture", "--pool", f"file:{f}") == expected
+
+
+def test_wm_cert_reports_a_graph_it_refuses_and_goes_on(capsys, tmp_path):
+    # K_8 has a cycle through the targets and C_8 lacks the spokes x-1 and
+    # x-2; each gets its own line between two certified K_{4,4}
+    f = tmp_path / "four.g6"
+    f.write_text("".join(to_graph6(g) + "\n" for g in (
+        complete_bipartite(4), complete(8), cycle(8), complete_bipartite(4))))
+    code, out, err = run(capsys, "wm-cert", str(f), "--x", "4", "--targets", "0,1,2,3")
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("status: certified\n") == 2
+    assert (f"graph 2: {to_graph6(complete(8))}\nstatus: not-applicable (a cycle through the "
+            f"targets exists; no certificate applies)\n\ngraph 3: {to_graph6(cycle(8))}\n"
+            f"status: not-applicable (targets must all be neighbors of x)\n\ngraph 4: ") in out
+    assert out.endswith("\nsummary: graphs=4\nstatus: ok\n")
+
+
+@_fuzz_settings
+@given(command=st.sampled_from(_PER_GRAPH), data=_input_bytes)
+@example(command=_PER_GRAPH[-1], data=to_graph6(cycle(5)).encode())  # x=0 misses 2 and 3
+def test_fuzz_per_graph_commands_report_every_graph(capsys, tmp_path, command, data):
+    """An input that parses into m graphs a report can name prints exactly
+    m ``graph i:`` blocks; any other input exits 2 with no report."""
+    import re
+    import warnings
+
+    from wheelfree.formats import GRAPH6_MAX_N, read_file
+
+    f = tmp_path / "input"
+    f.write_bytes(data)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            graphs = read_file(str(f))
+    except ParseError:
+        graphs = None
+    code = main([command[0], str(f), *command[1:]])
+    out = capsys.readouterr().out
+    if graphs is None or any(g.n > GRAPH6_MAX_N for g in graphs):
+        assert (code, out) == (EXIT_USAGE, "")
+    else:
+        assert code in (EXIT_OK, EXIT_COUNTEREXAMPLE)
+        assert re.findall(r"^graph (\d+): ", out, re.M) == [
+            str(i) for i in range(1, len(graphs) + 1)]
+
+
+def test_verify_bundle_lists_the_edges_of_a_graph_past_graph6(capsys, tmp_path, monkeypatch):
+    """graph6 stops at 62 vertices, so a larger counterexample is written
+    as its vertex count and edge list, and the report still exits 1."""
+    from wheelfree.oracles import parse_pool_descriptor
+
+    def always_fails(g):
+        return VerifyStatus.COUNTEREXAMPLE, "synthetic"
+
+    monkeypatch.setitem(STATEMENTS, "thm-1.2", ("synthetic failure", None, always_fails))
+    descriptor = "random:n=63,p=0.1,seed=1,count=1"
+    bundle = tmp_path / "b.txt"
+    code, out, err = run(capsys, "verify", "thm-1.2", "--pool", descriptor, "--out", str(bundle))
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, "")
+    assert f"counterexamples=1 budget-exceeded=0\ncounterexample-file: {bundle}\n" in out
+    [g] = parse_pool_descriptor(descriptor)
+    edges = " ".join(f"{u}-{v}" for u, v in g.edges())
+    assert bundle.read_text() == (f"vertices: 63\nedges: {edges}\nstatement: thm-1.2\n"
+                                  "status: counterexample\ndetail: synthetic\n\n")

@@ -252,7 +252,7 @@ def test_pool_dump_load_roundtrip(tmp_path):
     assert pool.dump(path) == 25
     from wheelfree.oracles import GraphPool
 
-    loaded = list(GraphPool.from_graph6_file(path))
+    loaded = list(parse_pool_descriptor(f"file:{path}"))
     assert loaded == list(pool)
 
 

@@ -113,3 +113,39 @@ def test_statement_hypotheses_are_tested_in_one_place():
     planted = source.replace(old, old + "    if not _is_k_connected(g, 5):\n"
                                         "        return VerifyStatus.NOT_APPLICABLE, 'not 5-connected'\n")
     assert k_connected_callers(planted) == {"verify_statement", "_check_five_connected_centers"}
+
+
+def file_opens(source: str) -> dict[str, set[str]]:
+    """Top-level functions and methods (``Class.method``) of ``source``
+    with an ``open(...)`` call, keyed by whether the call gives a mode
+    that writes."""
+    found = {"read": set(), "write": set()}
+    for top in ast.parse(source).body:
+        scopes = ([(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
+                  if isinstance(top, ast.ClassDef) else [(getattr(top, "name", "<module>"), top)])
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                    writes = any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                                 for m in modes)
+                    found["write" if writes else "read"].add(name)
+    return found
+
+
+def test_graph_files_are_read_in_one_place():
+    # formats.read_file alone turns a file into graphs; the pool dump and the
+    # counterexample bundle only write
+    opens = {"read": set(), "write": set()}
+    for path in MODULES:
+        for kind, names in file_opens(path.read_text()).items():
+            opens[kind] |= {f"{path.stem}.{name}" for name in names}
+    assert opens == {"read": {"formats.read_file"},
+                     "write": {"oracles.GraphPool.dump", "cli.cmd_verify"}}
+    source = (Path(wheelfree.__file__).parent / "oracles.py").read_text()
+    old = "        return GraphPool(text, lambda: iter(read_file(rest)))\n"
+    assert old in source
+    planted = source.replace(old, "        path = rest\n        with open(path) as fh:\n"
+                                  "            graphs = parse_graph6_lines(fh.read())\n"
+                                  "        return GraphPool(text, lambda: iter(graphs))\n")
+    assert file_opens(planted)["read"] == {"parse_pool_descriptor"}
