@@ -399,6 +399,10 @@ def _end_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
     skipped: an end E at x with y' outside E u N(E) meets both F and its
     far side, so by the fragment crossing lemma E lies inside F; then y
     lies outside E u N(E), F lies inside E, and E = F was already found.
+    Each unordered pair runs at most one flow that reaches kappa + 1: that
+    flow shows kappa(x, y) > kappa, and kappa(y, x) = kappa(x, y) (Menger),
+    so the flow from y into N(x) would reach kappa + 1 too and give no
+    fragment; ``over[y]`` keeps such x out of y's pairs.
     The ends are the inclusion-minimal candidates; a candidate holding a
     vertex of degree kappa is never one.
     """
@@ -406,8 +410,9 @@ def _end_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
     every_node = (1 << (2 * n + 1)) - 1
     low = sum(1 << v for v in range(n) if adj[v].bit_count() == kappa)
     cands = {1 << v for v in bits(low)}
+    over = [0] * n  # bit x of over[y]: kappa(x, y) > kappa, shown by a flow
     for x in bits(full & ~low):
-        todo = full & ~adj[x] & ~(1 << x)
+        todo = full & ~adj[x] & ~(1 << x) & ~over[x]
         while todo:
             y = (todo & -todo).bit_length() - 1
             todo &= todo - 1
@@ -415,6 +420,7 @@ def _end_masks(adj: tuple[int, ...], n: int, kappa: int) -> list[int]:
                 continue
             flow, res = _fan_flow(adj, n, x, adj[y], kappa + 1)
             if flow > kappa:
+                over[y] |= 1 << x
                 continue
             f = reach(res, 1 << (x + n), every_node) >> n & full
             todo &= f | set_neighbors(adj, f)

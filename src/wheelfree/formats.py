@@ -4,9 +4,9 @@ graph6 here is the short form only (n <= 62): the size byte is n+63 and
 the upper-triangle bits x(0,1), x(0,2), x(1,2), x(0,3), ... are packed
 big-endian into 6-bit groups, each stored as value+63, zero-padded.
 Row j's pairs (i < j, j) are one field of j bits in that order, so the
-codec reverses each group to put pair k at bit k of one int and cuts it
-into row fields, which ``graph.mirror`` makes symmetric; encoding packs
-the same fields.
+codec reverses each group to put pair k at bit k of one int and moves
+row j's field to row j of a packed bit matrix, which
+``graph.symmetric_rows`` makes symmetric; encoding packs the same fields.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import warnings
 
 from .errors import ParseError, ParseWarning
-from .graph import Graph, mirror
+from .graph import Graph, row_stride, symmetric_rows
 
 GRAPH6_HEADER = ">>graph6<<"
 GRAPH6_MAX_N = 62  # the short form: size byte n + 63 stays below 126, the long-form marker
@@ -70,11 +70,12 @@ def parse_graph6(data) -> Graph:
         packed |= _REVERSED6[val] << (6 * bi)
     if packed >> nbits:  # padding lives in the last body byte
         raise ParseError("nonzero padding bits in graph6 body", offset=base + nbytes)
-    lower = []
-    for j in range(n):
-        lower.append(packed & ((1 << j) - 1))
+    stride = row_stride(n)
+    lower = 0
+    for j in range(1, n):
+        lower |= (packed & ((1 << j) - 1)) << j * stride
         packed >>= j
-    return Graph._of(n, mirror(lower))
+    return Graph._of(n, symmetric_rows(lower, n, stride))
 
 
 def to_graph6(g: Graph) -> str:

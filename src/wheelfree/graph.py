@@ -26,17 +26,62 @@ def bits(mask: int) -> Iterator[int]:
         yield b.bit_length() - 1
 
 
-def mirror(half: list[int]) -> list[int]:
-    """Symmetric masks from half rows: bit i of row j is set for every
-    bit j of row i, so each edge need appear in one of its rows only."""
-    adj = list(half)
-    for i, row in enumerate(half):
-        bit = 1 << i
-        while row:
-            b = row & -row
-            row ^= b
-            adj[b.bit_length() - 1] |= bit
-    return adj
+def row_stride(n: int) -> int:
+    """Bits per row of an n x n bit matrix packed into one int, row i at
+    bit i * stride: the least power of two >= max(n, 8)."""
+    return 1 << max(n - 1, 7).bit_length()
+
+
+# stride -> the delta swaps (distance, mask) that transpose a packed
+# stride x stride bit matrix
+_transpose_swaps: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _swaps(stride: int) -> tuple[tuple[int, int], ...]:
+    """Swap j, for each power of two j < stride, exchanges bit (r, c) with
+    bit (r + j, c - j) wherever bit j of r is 0 and of c is 1, so it swaps
+    bit j of the row and column numbers; all of them together transpose
+    (Warren, "Hacker's Delight", section 7-3)."""
+    swaps = []
+    j = stride >> 1
+    while j:
+        cols = sum(1 << c for c in range(stride) if c & j)
+        swaps.append((j * (stride - 1),
+                      sum(cols << r * stride for r in range(stride) if not r & j)))
+        j >>= 1
+    _transpose_swaps[stride] = swaps = tuple(swaps)
+    return swaps
+
+
+def symmetric_rows(half: int, n: int, stride: int) -> list[int]:
+    """The n rows of half | transpose(half), where ``half`` packs an
+    n x n bit matrix row i at bit i * stride, stride = row_stride(n):
+    each edge need appear in one of its two rows only."""
+    both = half
+    for d, m in _transpose_swaps.get(stride) or _swaps(stride):
+        t = (both ^ both >> d) & m
+        both ^= t ^ t << d
+    both |= half
+    row = (1 << n) - 1
+    return [both >> i & row for i in range(0, n * stride, stride)]
+
+
+# n -> the row stride and, for each row i < n - 1, its field of an
+# n-vertex edge code as (its offset in the code, a mask of its width, its
+# bit in the packed matrix)
+_code_layouts: dict[int, tuple[int, tuple[tuple[int, int, int], ...]]] = {}
+
+
+def _code_layout(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    stride = row_stride(n)
+    fields = []
+    offset = 0
+    for i in range(n - 1):
+        width = n - 1 - i
+        fields.append((offset, (1 << width) - 1, i * stride + i + 1))
+        offset += width
+    _code_layouts[n] = layout = (stride, tuple(fields))
+    return layout
 
 
 def upper_code(rows) -> int:
@@ -118,14 +163,13 @@ class Graph:
         (0,1),(0,2),...,(0,n-1),(1,2),... in i-major order (``upper_code``)."""
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        half = []
-        for i in range(n):
-            width = n - 1 - i
-            half.append((code & ((1 << width) - 1)) << (i + 1))
-            code >>= width
-        if code:
+        if code >> n * (n - 1) // 2:
             raise GraphError(f"edge code has bits beyond pair count {n * (n - 1) // 2}")
-        return cls._of(n, mirror(half))
+        stride, fields = _code_layouts.get(n) or _code_layout(n)
+        half = 0
+        for offset, mask, at in fields:
+            half |= (code >> offset & mask) << at
+        return cls._of(n, symmetric_rows(half, n, stride))
 
     def edge_code(self) -> int:
         return upper_code(self._adj)

@@ -331,9 +331,21 @@ def _nonisomorphic_graphs(n: int) -> list[Graph]:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
-# most draws made at once: it bounds each lane int at 32 KiB whatever n
-# is, and one pass still draws a whole graph up to n = 64
-_LANES = 2048
+# draws made at once, each in a 16-byte lane of one int; a pool step at
+# n = 10-11 costs the same from 512 to 2048 lanes
+_LANES = 1024
+# lanes -> (1 in every lane, 2**64 - 1 in every lane, the ramp: k + 1
+# increments in lane k)
+_lane_constants: dict[int, tuple[int, int, int]] = {}
+
+
+def _build_lanes(lanes: int) -> tuple[int, int, int]:
+    """The lane constants, built in time linear in the lanes."""
+    ones = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
+    ramp = int.from_bytes(b"".join((k * _GOLDEN & _MASK64).to_bytes(16, "little")
+                                   for k in range(1, lanes + 1)), "little")
+    _lane_constants[lanes] = constants = (ones, ones * _MASK64, ramp)
+    return constants
 
 
 def _edge_codes(n: int, p: float, seed: int) -> Iterator[int]:
@@ -341,38 +353,39 @@ def _edge_codes(n: int, p: float, seed: int) -> Iterator[int]:
     draws i*P .. (i+1)*P - 1, P = C(n, 2), and pair k is an edge when its
     draw's top 53 bits, as a fraction, are below p.
 
-    Up to _LANES draws are made at once, draw k of a pass in the 128-bit
-    lane k of one int.  Each lane is masked back to 64 bits after every
-    sum, right shift and product, so no bit crosses into another lane."""
+    One stream of draws serves every graph.  Each pass makes the next
+    _LANES draws at once, draw k of the pass in the 128-bit lane k of one
+    int; each lane is masked back to 64 bits after every sum, right shift
+    and product, so no bit crosses into another lane.  The pass's verdict
+    bits go on top of a buffer int, and graphs are cut from the bottom
+    of the buffer P bits at a time while it holds that many, so a graph
+    may span passes and a pass may hold many graphs (all of them when
+    P = 0)."""
     npairs = n * (n - 1) // 2
-    width = min(npairs, _LANES) or 1  # a pass of one lane when n < 2, as range needs a step
-    # the lane constants are built in time linear in the lanes
-    ones = ((1 << 128 * width) - 1) // ((1 << 128) - 1)  # 1 in every lane
-    low = ones * _MASK64
-    # (z >> 11) / 2**53 < p exactly when z >> 11 < ceil(p * 2**53), both
+    lanes = _LANES
+    ones, low, ramp = _lane_constants.get(lanes) or _build_lanes(lanes)
+    # (z >> 11) / 2**53 < p exactly when z < ceil(p * 2**53) * 2**11, both
     # sides being exact doubles, that is when bit 64 of
-    # 2**64 + ceil(p * 2**53) - 1 - (z >> 11) is set
-    bound = ones * ((1 << 64) + math.ceil(p * (1 << 53)) - 1)
-    verdicts = ones << 64
-    # an ASCII "0" over each verdict bit and one more lane above them all:
-    # bytes 7, 23, 39, ... of the big-endian int spell the pass's draws in binary
-    digits = (ones | 1 << 128 * width) * (0x30 << 64)
-    # lane j holds j + 1 increments, so adding seed + d increments to
-    # every lane gives the states of draws d, d + 1, ...
-    ramp = int.from_bytes(b"".join((k * _GOLDEN & _MASK64).to_bytes(16, "little")
-                                   for k in range(1, width + 1)), "little")
-    first = 0  # the draw of the graph's pair 0
+    # 2**64 + ceil(p * 2**53) * 2**11 - 1 - z is set.  0x31 << 64 is that
+    # 2**64 plus an ASCII "0" over bit 64, so bytes 7, 23, 39, ... of each
+    # pass's big-endian int spell its draws in binary, the last draw first.
+    bound = ones * ((0x31 << 64) + (math.ceil(p * (1 << 53)) << 11) - 1)
+    nbytes = 16 * lanes
+    pairs = (1 << npairs) - 1
+    buffer = held = 0  # verdicts drawn and not yet cut, and their count
+    state = seed & _MASK64  # the state before the pass's first draw
     while True:
-        code = 0
-        for k in range(0, npairs, width):
-            z = (ramp + ones * (seed + (first + k) * _GOLDEN & _MASK64)) & low
-            z = (z ^ (z >> 30 & low)) * 0xBF58476D1CE4E5B9 & low
-            z = (z ^ (z >> 27 & low)) * 0x94D049BB133111EB & low
-            z = (z ^ (z >> 31 & low)) >> 11 & low
-            spelled = (bound - z) & verdicts | digits
-            code |= int(spelled.to_bytes(16 * width + 16, "big")[7::16], 2) << k
-        yield code & ((1 << npairs) - 1)  # a last pass's draws past P are dropped
-        first += npairs
+        z = (ramp + ones * state) & low
+        z = (z ^ (z >> 30 & low)) * 0xBF58476D1CE4E5B9 & low
+        z = (z ^ (z >> 27 & low)) * 0x94D049BB133111EB & low
+        z = bound - (z ^ (z >> 31 & low))
+        buffer |= int(z.to_bytes(nbytes, "big")[7::16], 2) << held
+        held += lanes
+        state = (state + lanes * _GOLDEN) & _MASK64
+        while held >= npairs:
+            yield buffer & pairs
+            buffer >>= npairs
+            held -= npairs
 
 
 # A filtered random pool gives up after this many rejected draws in a row,

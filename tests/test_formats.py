@@ -186,6 +186,31 @@ def test_codecs_match_definition_on_random_graphs_to_n62():
         check_codecs(n, sum(1 << k for k in range(pairs) if rnd.random() < p))
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 16, 17, 63, 64, 65, 100, 129])
+def test_from_edge_code_matches_definition_past_one_word(n):
+    # the row stride steps at n = 9, 17, 33, 65 and 129; graph6 stops at 62
+    rnd = random.Random(n)
+    pairs = n * (n - 1) // 2
+    codes = [0, (1 << pairs) - 1] + [rnd.getrandbits(pairs) for _ in range(4)]
+    codes += [sum(1 << k for k in range(pairs) if rnd.random() < p) for p in (0.05, 0.95)]
+    for code in codes:
+        assert Graph.from_edge_code(n, code) == ref_from_edge_code(n, code)
+
+
+@st.composite
+def constructed_graphs(draw):
+    """Graphs up to n = 130 built by the constructor from an edge list."""
+    n = draw(st.integers(0, 130))
+    p = draw(st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]))
+    rnd = random.Random(draw(st.integers(0, 1 << 32)))
+    return Graph(n, [e for e in combinations(range(n), 2) if rnd.random() < p])
+
+
+@given(constructed_graphs())
+def test_edge_code_round_trip_to_n130(g):
+    assert Graph.from_edge_code(g.n, g.edge_code()) == g
+
+
 # -- DIMACS ----------------------------------------------------------------
 
 

@@ -217,6 +217,28 @@ def test_edge_codes_in_several_passes(monkeypatch, lanes):
             list(islice(_reference_codes(n, p, seed), 30))
 
 
+@pytest.mark.parametrize("n,lanes", [(10, 44), (10, 45), (10, 46), (10, 100),
+                                     (65, 2047), (65, 2049)])
+def test_edge_codes_across_pass_boundaries(monkeypatch, n, lanes):
+    # one draw stream serves every graph: with 44 or 46 lanes each n = 10
+    # graph (45 pairs) starts at another offset in a pass, with 45 a pass
+    # is one graph, with 100 it holds two graphs and a part of a third,
+    # and each n = 65 graph (2,080 pairs) spans two passes or three
+    monkeypatch.setattr(oracles, "_LANES", lanes)
+    graphs = 60 if n == 10 else 4
+    assert list(islice(_edge_codes(n, 0.4, 23), graphs)) == \
+        list(islice(_reference_codes(n, 0.4, 23), graphs))
+
+
+@pytest.mark.parametrize("lanes", [44, 46])
+def test_filtered_random_pool_across_pass_boundaries(monkeypatch, lanes):
+    # 237 rejected graphs consume their draws wherever they fall in a pass
+    monkeypatch.setattr(oracles, "_LANES", lanes)
+    graphs = (Graph.from_edge_code(10, code) for code in _reference_codes(10, 0.3, 5))
+    want = list(islice((g for g in graphs if g.min_degree() >= 2), 40))
+    assert list(random_pool(10, 0.3, 5, 40, min_degree=2)) == want
+
+
 @pytest.mark.parametrize("n,p,seed", [(8, 0.65, 801), (9, 0.60, 901), (10, 0.55, 1001)])
 def test_filtered_random_pool_equals_scalar_draws(n, p, seed):
     # criterion 4c's pools: rejected graphs consume their draws too

@@ -19,8 +19,9 @@ to, the text it shows the world, so a change of its result types that
 keeps that text keeps the line.
 The ``pools`` family instead hashes the graph6 stream of each of the
 pool descriptors in ``POOLS``, so it pins the order and the draws of
-exhaustive and random pools, and the connectivity filter on graphs of
-up to 30 vertices.  Stdlib only.
+exhaustive and random pools, the decoding of random graphs up to 62
+vertices, and the connectivity filter on graphs of up to 30 vertices.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -160,8 +161,10 @@ FAMILIES = (
 
 
 # every labeled n=6 graph, n=5 under each filter, the random-dense bench
-# pools of seed 1, the filtered pools of acceptance criterion 4c, and
-# connectivity-filtered pools past the oracles' reach
+# pools of seed 1, the filtered pools of acceptance criterion 4c,
+# connectivity-filtered pools past the oracles' reach, n = 62 graphs
+# (1,891 pairs) that straddle the passes of draws, and n = 33 graphs,
+# whose packed rows take 64 bits where n = 32 takes 32
 POOLS = (
     "exhaustive:n=6",
     "exhaustive:n=5,min-degree=2",
@@ -176,6 +179,8 @@ POOLS = (
     "random:n=20,p=0.3,seed=2001,count=300,connectivity-at-least=3",
     "random:n=30,p=0.25,seed=3001,count=200,connectivity-at-least=4",
     "random:n=16,p=0.4,seed=1601,count=300,connectivity-at-least=5",
+    "random:n=62,p=0.5,seed=6200,count=20",
+    "random:n=33,p=0.3,seed=3301,count=100",
 )
 
 
