@@ -33,8 +33,8 @@ from .graph import Graph, VertexSet, bits, induced_subgraph, reach, set_neighbor
 # Node layout: v_in = v, v_out = v + n; the source is x_out and the sink
 # is node 2n, fed by the in-nodes of the targets.  The residual graph is a
 # list of int masks (bit j of res[i] = arc i->j).  One routine, _fan_flow,
-# serves connectivity, find_k_fan and extend_fan (Even & Tarjan, "Network
-# flow and testing graph connectivity", SIAM J. Comput. 1975).
+# serves connectivity, ends and fans (Even & Tarjan, "Network flow and
+# testing graph connectivity", SIAM J. Comput. 1975).
 # -------------------------------------------------------------------------
 
 
@@ -66,49 +66,46 @@ def _augment(res: list[int], src: int, snk: int, parent: list[int]) -> bool:
     return False
 
 
-def _fan_residual(adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[int]:
-    """Residual network for fans: sink node is 2n, target in-nodes feed it."""
+def _fan_flow(
+    adj: tuple[int, ...], n: int, x: int, ymask: int, k: int,
+    seed: tuple[tuple[int, ...], ...] = (),
+) -> tuple[int, list[int]]:
+    """Disjoint paths from x into ``ymask``, capped at k, and the residual.
+
+    The flow pushes the fan paths ``seed``, then the direct edges x-y to
+    the lowest targets y the seed left unused, up to k paths in all, then
+    augments.  The push is those augmentations taken early: ``_augment``
+    expands x_out's unused arcs, which lead to in-nodes (each unused
+    target's among them), in ascending order before any out-node, and only
+    an unused target's in-node has an arc to the sink; so the lowest such y
+    gives the shortest augmenting path x_out -> y -> sink, whose flip is
+    the push.
+    """
     sink_bit = 1 << (2 * n)
     res = [sink_bit if (ymask >> v) & 1 else 1 << (v + n) for v in range(n)]
     res[x] = 0  # paths never pass back through the origin
     res.extend(adj)
     res.append(0)
-    return res
-
-
-def _fan_flow(
-    adj: tuple[int, ...], n: int, x: int, ymask: int, k: int,
-    seed: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[int, list[int]]:
-    """Disjoint paths from x into ``ymask``, capped at k, and the residual.
-
-    The flow starts from the fan paths ``seed``, or by default from the
-    direct edges x-y to the k lowest such y, and then grows one shortest
-    augmenting path at a time.
-    """
-    res = _fan_residual(adj, n, x, ymask)
     src, sink = x + n, 2 * n
-    if seed is None:
-        direct = adj[x] & ymask
-        while direct.bit_count() > k:
-            direct ^= 1 << (direct.bit_length() - 1)
-        # push one unit along each x_out -> y -> sink; a target in-node's
-        # only arc is to the sink, so its residual is the arc back to x_out
-        res[src] &= ~direct
-        res[sink] = direct
-        for y in bits(direct):
-            res[y] = 1 << src
-        flow = direct.bit_count()
-    else:
-        for p in seed:
-            nodes = [src]
-            for v in p[1:-1]:
-                nodes.extend((v, v + n))
-            nodes.extend((p[-1], sink))
-            for a, b in zip(nodes, nodes[1:]):
-                res[a] &= ~(1 << b)
-                res[b] |= 1 << a
-        flow = len(seed)
+    for p in seed:
+        nodes = [src]
+        for v in p[1:-1]:
+            nodes.extend((v, v + n))
+        nodes.extend((p[-1], sink))
+        for a, b in zip(nodes, nodes[1:]):
+            res[a] &= ~(1 << b)
+            res[b] |= 1 << a
+    flow = len(seed)
+    direct = adj[x] & ymask & ~res[sink]  # res[sink]: the targets reached
+    while direct.bit_count() > k - flow:
+        direct ^= 1 << (direct.bit_length() - 1)
+    # push one unit along each x_out -> y -> sink; a target in-node's
+    # only arc is to the sink, so its residual is the arc back to x_out
+    res[src] &= ~direct
+    res[sink] |= direct
+    for y in bits(direct):
+        res[y] = 1 << src
+    flow += direct.bit_count()
     parent = [0] * (2 * n + 1)
     while flow < k and _augment(res, src, sink, parent):
         flow += 1
@@ -116,25 +113,18 @@ def _fan_flow(
 
 
 def _extract_fan_paths(res: list[int], adj: tuple[int, ...], n: int, x: int, ymask: int) -> list[tuple[int, ...]]:
-    """Decompose the flow recorded in ``res`` into origin-to-target paths."""
-    fresh = _fan_residual(adj, n, x, ymask)
-    src, sink = x + n, 2 * n
+    """The sorted origin-to-target paths of the flow in ``res``: the arcs
+    x_out -> v_in missing from it are the first hops, a non-target v's one
+    missing arc v_out -> w_in its next, and a path stops at its first
+    target."""
     paths = []
-    used = fresh[src] & ~res[src]
-    for b in sorted(bits(used)):
-        node = b
-        path = [x]
-        while node != sink:
-            path.append(node)  # node is always an in-node id == vertex id
-            out = fresh[node] & ~res[node]
-            nxt = (out & -out).bit_length() - 1
-            if nxt == sink:
-                break
-            # in-node -> out-node, then follow the out-node's flow arc
-            out2 = fresh[nxt] & ~res[nxt]
-            node = (out2 & -out2).bit_length() - 1
+    for v in bits(adj[x] & ~res[x + n]):
+        path = [x, v]
+        while not (ymask >> v) & 1:
+            v = (adj[v] & ~res[v + n]).bit_length() - 1
+            path.append(v)
         paths.append(tuple(path))
-    return sorted(paths)
+    return paths
 
 
 def _short_fan(adj: tuple[int, ...], s: int, t: int, cap: int) -> tuple[tuple[int, ...], ...] | None:

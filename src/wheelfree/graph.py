@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator
 
 from .errors import GraphError
@@ -32,16 +33,13 @@ def row_stride(n: int) -> int:
     return 1 << max(n - 1, 7).bit_length()
 
 
-# stride -> the delta swaps (distance, mask) that transpose a packed
-# stride x stride bit matrix
-_transpose_swaps: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@cache
 def _swaps(stride: int) -> tuple[tuple[int, int], ...]:
-    """Swap j, for each power of two j < stride, exchanges bit (r, c) with
-    bit (r + j, c - j) wherever bit j of r is 0 and of c is 1, so it swaps
-    bit j of the row and column numbers; all of them together transpose
-    (Warren, "Hacker's Delight", section 7-3)."""
+    """The delta swaps (distance, mask) that transpose a packed stride x
+    stride bit matrix.  Swap j, for each power of two j < stride, exchanges
+    bit (r, c) with bit (r + j, c - j) wherever bit j of r is 0 and of c
+    is 1, so it swaps bit j of the row and column numbers; all of them
+    together transpose (Warren, "Hacker's Delight", section 7-3)."""
     swaps = []
     j = stride >> 1
     while j:
@@ -49,8 +47,7 @@ def _swaps(stride: int) -> tuple[tuple[int, int], ...]:
         swaps.append((j * (stride - 1),
                       sum(cols << r * stride for r in range(stride) if not r & j)))
         j >>= 1
-    _transpose_swaps[stride] = swaps = tuple(swaps)
-    return swaps
+    return tuple(swaps)
 
 
 def symmetric_rows(half: int, n: int, stride: int) -> list[int]:
@@ -58,7 +55,7 @@ def symmetric_rows(half: int, n: int, stride: int) -> list[int]:
     n x n bit matrix row i at bit i * stride, stride = row_stride(n):
     each edge need appear in one of its two rows only."""
     both = half
-    for d, m in _transpose_swaps.get(stride) or _swaps(stride):
+    for d, m in _swaps(stride):
         t = (both ^ both >> d) & m
         both ^= t ^ t << d
     both |= half
@@ -66,13 +63,11 @@ def symmetric_rows(half: int, n: int, stride: int) -> list[int]:
     return [both >> i & row for i in range(0, n * stride, stride)]
 
 
-# n -> the row stride and, for each row i < n - 1, its field of an
-# n-vertex edge code as (its offset in the code, a mask of its width, its
-# bit in the packed matrix)
-_code_layouts: dict[int, tuple[int, tuple[tuple[int, int, int], ...]]] = {}
-
-
+@cache
 def _code_layout(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The row stride and, for each row i < n - 1, its field of an
+    n-vertex edge code as (its offset in the code, a mask of its width,
+    its bit in the packed matrix)."""
     stride = row_stride(n)
     fields = []
     offset = 0
@@ -80,8 +75,7 @@ def _code_layout(n: int) -> tuple[int, tuple[tuple[int, int, int], ...]]:
         width = n - 1 - i
         fields.append((offset, (1 << width) - 1, i * stride + i + 1))
         offset += width
-    _code_layouts[n] = layout = (stride, tuple(fields))
-    return layout
+    return stride, tuple(fields)
 
 
 def upper_code(rows) -> int:
@@ -165,7 +159,7 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         if code >> n * (n - 1) // 2:
             raise GraphError(f"edge code has bits beyond pair count {n * (n - 1) // 2}")
-        stride, fields = _code_layouts.get(n) or _code_layout(n)
+        stride, fields = _code_layout(n)
         half = 0
         for offset, mask, at in fields:
             half |= (code >> offset & mask) << at
@@ -190,10 +184,12 @@ class Graph:
         return bool((self._adj[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return len(self.neighbors(v))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Neighbors of v in ascending order."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range for n={self.n}")
         return tuple(bits(self._adj[v]))
 
     @property

@@ -11,7 +11,7 @@ so the one search serves both.
 from __future__ import annotations
 
 from .errors import GraphError
-from .graph import Graph, mapped_rows, upper_code
+from .graph import Graph, bits, mapped_rows, upper_code
 
 
 def relabel(g: Graph, perm) -> Graph:
@@ -24,7 +24,7 @@ def relabel(g: Graph, perm) -> Graph:
 
 def _refine(g: Graph) -> list[int]:
     """Stable vertex colors from iterated (color, sorted neighbor colors)."""
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbrs = [tuple(bits(a)) for a in g.masks]
     colors = [len(nb) for nb in nbrs]
     while True:
         sigs = [(c, tuple(sorted(colors[u] for u in nb))) for c, nb in zip(colors, nbrs)]
@@ -74,7 +74,7 @@ class _CanonicalSearch:
 
     def __init__(self, g: Graph):
         n = self.n = g.n
-        self.nbrs = [g.neighbors(v) for v in range(n)]
+        self.nbrs = [tuple(bits(a)) for a in g.masks]
         # the class owning each position, blocks in class order
         self.slot_class: list[list[int]] = []
         for cls in _classes(_refine(g)):

@@ -16,6 +16,7 @@ as a fraction, are below p.  Filters drop graphs from these streams.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import combinations
 from operator import xor
 from typing import Callable, Iterator
@@ -32,20 +33,17 @@ ORACLE_BUDGET = 12
 # the fragment scan visits each vertex subset once, so it runs further
 FRAGMENT_BUDGET = 20
 
-_subset_masks_cache: dict[tuple[int, int], list[int]] = {}
 
-
-def _subset_masks(n: int, size: int) -> list[int]:
-    key = (n, size)
-    if key not in _subset_masks_cache:
-        out = []
-        for combo in combinations(range(n), size):
-            m = 0
-            for v in combo:
-                m |= 1 << v
-            out.append(m)
-        _subset_masks_cache[key] = out
-    return _subset_masks_cache[key]
+@cache
+def _subset_masks(n: int, size: int) -> tuple[int, ...]:
+    """The masks of the size-subsets of 0..n-1, in ``combinations`` order."""
+    out = []
+    for combo in combinations(range(n), size):
+        m = 0
+        for v in combo:
+            m |= 1 << v
+        out.append(m)
+    return tuple(out)
 
 
 def _check_budget(g: Graph, what: str, budget: int = ORACLE_BUDGET) -> None:
@@ -235,8 +233,10 @@ _FILTERS = {
 
 def _pool_filter(*values: int | None) -> tuple[Callable[[Graph], bool], str]:
     """The accept test and descriptor suffix of the filters whose values,
-    given in ``_FILTERS`` order, are not None."""
+    given in ``_FILTERS`` order, are not None; refuses wheel-free < 3."""
     chosen = [(key, value) for key, value in zip(_FILTERS, values) if value is not None]
+    if dict(chosen).get("wheel-free", 3) < 3:
+        raise GraphError("wheels need at least 3 spokes")
     tests = [(_FILTERS[key], value) for key, value in chosen]
 
     def accept(g: Graph) -> bool:
@@ -300,33 +300,26 @@ def _labeled_graphs(n: int) -> Iterator[Graph]:
         yield Graph._of(n, adj)
 
 
-_iso_classes_cache: dict[int, list[Graph]] = {}
-
-
-def _nonisomorphic_graphs(n: int) -> list[Graph]:
+@cache
+def _nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     """Canonical representatives of all isomorphism classes on n vertices,
     built by extending the classes on n-1 vertices with every possible
     neighborhood of a new vertex and deduplicating by canonical code."""
-    if n in _iso_classes_cache:
-        return _iso_classes_cache[n]
     if n == 1:
-        reps = [Graph(1)]
-    else:
-        seen = set()
-        reps = []
-        newbit = 1 << (n - 1)
-        for base in _nonisomorphic_graphs(n - 1):
-            for nbr in range(1 << (n - 1)):
-                masks = [row | newbit if (nbr >> v) & 1 else row
-                         for v, row in enumerate(base.masks)]
-                masks.append(nbr)
-                canon = canonical_code(Graph._of(n, masks))
-                if canon not in seen:
-                    seen.add(canon)
-                    reps.append(Graph.from_edge_code(n, canon))
-        reps.sort(key=lambda g: (g.m, g.edge_code()))
-    _iso_classes_cache[n] = reps
-    return reps
+        return (Graph(1),)
+    seen = set()
+    reps = []
+    newbit = 1 << (n - 1)
+    for base in _nonisomorphic_graphs(n - 1):
+        for nbr in range(1 << (n - 1)):
+            masks = [row | newbit if (nbr >> v) & 1 else row
+                     for v, row in enumerate(base.masks)]
+            masks.append(nbr)
+            canon = canonical_code(Graph._of(n, masks))
+            if canon not in seen:
+                seen.add(canon)
+                reps.append(Graph.from_edge_code(n, canon))
+    return tuple(sorted(reps, key=lambda g: (g.m, g.edge_code())))
 
 
 _MASK64 = (1 << 64) - 1
@@ -334,18 +327,16 @@ _GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's state increment
 # draws made at once, each in a 16-byte lane of one int; a pool step at
 # n = 10-11 costs the same from 512 to 2048 lanes
 _LANES = 1024
-# lanes -> (1 in every lane, 2**64 - 1 in every lane, the ramp: k + 1
-# increments in lane k)
-_lane_constants: dict[int, tuple[int, int, int]] = {}
 
 
-def _build_lanes(lanes: int) -> tuple[int, int, int]:
-    """The lane constants, built in time linear in the lanes."""
+@cache
+def _lane_constants(lanes: int) -> tuple[int, int, int]:
+    """(1 in every lane, 2**64 - 1 in every lane, the ramp: k + 1
+    increments in lane k), built in time linear in the lanes."""
     ones = ((1 << 128 * lanes) - 1) // ((1 << 128) - 1)
     ramp = int.from_bytes(b"".join((k * _GOLDEN & _MASK64).to_bytes(16, "little")
                                    for k in range(1, lanes + 1)), "little")
-    _lane_constants[lanes] = constants = (ones, ones * _MASK64, ramp)
-    return constants
+    return ones, ones * _MASK64, ramp
 
 
 def _edge_codes(n: int, p: float, seed: int) -> Iterator[int]:
@@ -363,7 +354,7 @@ def _edge_codes(n: int, p: float, seed: int) -> Iterator[int]:
     P = 0)."""
     npairs = n * (n - 1) // 2
     lanes = _LANES
-    ones, low, ramp = _lane_constants.get(lanes) or _build_lanes(lanes)
+    ones, low, ramp = _lane_constants(lanes)
     # (z >> 11) / 2**53 < p exactly when z < ceil(p * 2**53) * 2**11, both
     # sides being exact doubles, that is when bit 64 of
     # 2**64 + ceil(p * 2**53) * 2**11 - 1 - z is set.  0x31 << 64 is that

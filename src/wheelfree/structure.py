@@ -324,7 +324,7 @@ def _check_ends_of_3_connected(g: Graph) -> tuple:
 
 def _check_two_degree_three(g: Graph) -> tuple:
     """4-wheel-free graphs of connectivity 3 have two vertices of degree 3."""
-    count = sum(1 for v in g.vertices() if g.degree(v) == 3)
+    count = sum(1 for a in g.masks if a.bit_count() == 3)
     if count >= 2:
         return VerifyStatus.PASS, f"{count} vertices of degree 3"
     return _wheel_verdict(g) or (
@@ -342,7 +342,7 @@ def _check_ends_of_2_connected(g: Graph) -> tuple:
         return VerifyStatus.PASS, "no ends (complete graph)", (), counters
     end_list = _ends(g, 2)
     for f in end_list:
-        if any(g.degree(v) <= 3 for v in f):
+        if any(g.masks[v].bit_count() <= 3 for v in f):
             counters["low-degree-branch"] += 1
             continue
         block = _end_block(g, g.vertex_mask(f))

@@ -196,7 +196,8 @@ def find_k_wheel(g: Graph, k: int) -> Wheel | None:
     """
     if k < 3:
         raise GraphError("wheels need at least 3 spokes")
-    order = sorted(g.vertices(), key=lambda v: (-g.degree(v), v))
+    adj = g.masks
+    order = sorted(g.vertices(), key=lambda v: (-adj[v].bit_count(), v))
     for v in order:
         w = is_wheel_center(g, v, k)
         if w is not None:

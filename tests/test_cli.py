@@ -391,6 +391,16 @@ def test_verify_non_numeric_descriptor_values_exit_usage(capsys):
         assert repr(pool) in err
 
 
+def test_wheel_free_filter_below_three_exits_usage(capsys):
+    """A wheel-free pool filter below 3 is refused when the pool is built,
+    so a pool that draws no graph cannot turn it into a clean report."""
+    for pool in ("random:n=5,p=0.5,seed=1,count=0,wheel-free=2", "exhaustive:n=3,wheel-free=2",
+                 "exhaustive:n=4,min-degree=9,wheel-free=0"):
+        for argv in (["verify", "thm-4.8"], ["conjecture", "--k", "4"]):
+            assert run(capsys, *argv, "--pool", pool) == (
+                EXIT_USAGE, "", "error: wheels need at least 3 spokes\n"), (argv, pool)
+
+
 def test_unknown_or_repeated_descriptor_keys_exit_usage(capsys):
     """A misspelled or repeated key or flag is an input error naming it,
     not a pool that silently drops it."""

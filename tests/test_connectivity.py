@@ -108,6 +108,42 @@ def test_short_fan_seeds_are_exact():
                 assert len(paths) == kappa_st
 
 
+def test_direct_push_is_the_first_augmentations():
+    """One start equals pushing the seed and augmenting: the direct edges
+    it pushes after the seed are the augmenting paths ``_augment`` would
+    find first, lowest target first, so flow and residual agree for no
+    seed, a short-fan seed and a fan's paths longer than one edge."""
+    from wheelfree.connectivity import _augment, _fan_flow, _short_fan
+
+    def seed_then_augment(adj, n, x, ymask, k, seed):
+        flow, res = _fan_flow(adj, n, x, ymask, len(seed), seed)
+        parent = [0] * (2 * n + 1)
+        while flow < k and _augment(res, x + n, 2 * n, parent):
+            flow += 1
+        return flow, res
+
+    pushed = capped = 0
+    for g in _seeding_graphs():
+        adj, n = g.masks, g.n
+        for s in range(0, n, 7):
+            for t in bits((1 << n) - 1 & ~adj[s] & ~(1 << s)):
+                kappa_st, _ = _fan_flow(adj, n, s, adj[t], n)
+                seeds = [(), _short_fan(adj, s, t, n)]
+                if kappa_st:
+                    fan = find_k_fan(g, s, g.neighbors(t), kappa_st)
+                    seeds.append(tuple(p for p in fan.paths if len(p) > 2))
+                for seed in seeds:
+                    # the direct edges left for the push
+                    direct = (adj[s] & adj[t] & ~sum(1 << p[-1] for p in seed)).bit_count()
+                    low = len(seed)
+                    for k in {low, (low + kappa_st + 1) // 2, kappa_st + 1}:
+                        pushed += direct > 0
+                        capped += direct > k - low
+                        assert _fan_flow(adj, n, s, adj[t], k, seed) == \
+                            seed_then_augment(adj, n, s, adj[t], k, seed), (g.edge_code(), s, t, k)
+    assert pushed > 1000 and capped > 1000, (pushed, capped)
+
+
 def _count_flows(monkeypatch, g: Graph, screen=None) -> tuple[int, int]:
     """``vertex_connectivity(g)`` and the number of flows it runs, optionally
     with ``_short_fan`` replaced by ``screen``; every flow must start from

@@ -28,6 +28,18 @@ def test_basic_construction():
     assert g.degree(1) == 2
 
 
+def test_vertex_queries_check_the_id():
+    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for v in (-5, -4, -1, 4, 5):
+        for query in (g.degree, g.neighbors):
+            with pytest.raises(GraphError, match=rf"^vertex {v} out of range for n=4$"):
+                query(v)
+    assert [g.degree(v) for v in range(4)] == [3, 1, 1, 1]
+    assert [g.neighbors(v) for v in range(4)] == [(1, 2, 3), (0,), (0,), (0,)]
+    with pytest.raises(GraphError):
+        Graph(0).degree(0)
+
+
 def test_loops_rejected():
     with pytest.raises(GraphError):
         Graph(2, [(1, 1)])

@@ -268,6 +268,15 @@ def test_random_pool_filters():
     assert all(brute_has_k_wheel(g, 4) is None for g in pool)
 
 
+def test_wheel_free_filter_below_three_is_refused_when_the_pool_is_built():
+    for k in (2, 0, -1):
+        with pytest.raises(GraphError, match="^wheels need at least 3 spokes$"):
+            enumerate_graphs(3, wheel_free=k)
+        with pytest.raises(GraphError, match="^wheels need at least 3 spokes$"):
+            random_pool(5, 0.5, 1, 0, wheel_free=k)
+    assert list(random_pool(5, 0.5, 1, 0, wheel_free=3)) == []
+
+
 def test_pool_dump_load_roundtrip(tmp_path):
     pool = random_pool(6, 0.5, 9, 25)
     path = tmp_path / "pool.g6"

@@ -149,3 +149,30 @@ def test_graph_files_are_read_in_one_place():
                                   "            graphs = parse_graph6_lines(fh.read())\n"
                                   "        return GraphPool(text, lambda: iter(graphs))\n")
     assert file_opens(planted)["read"] == {"parse_pool_descriptor"}
+
+
+def memo_tables(source: str) -> set[str]:
+    """Top-level names of ``source`` bound to an empty ``{}`` or ``dict()``,
+    the shape of a hand-kept memo table."""
+    found = set()
+    for node in ast.parse(source).body:
+        value = getattr(node, "value", None)
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+            and not value.args and not value.keywords)
+        if empty and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def test_builders_cache_with_functools_not_module_dicts():
+    # a builder memoises with functools.cache, so no module fills a dict of
+    # its own with the get-or-build protocol
+    for path in MODULES:
+        assert memo_tables(path.read_text()) == set(), path.name
+    source = (Path(wheelfree.__file__).parent / "graph.py").read_text()
+    old = "VertexSet = Iterable[int]\n"
+    assert old in source
+    for table in ("_cache: dict = {}", "_cache = {}", "_cache = dict()"):
+        assert memo_tables(source.replace(old, f"{old}{table}\n")) == {"_cache"}, table

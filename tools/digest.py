@@ -8,9 +8,9 @@ Every family but ``wm`` hashes every labeled graph with n <= 6 and every
 n = 7 isomorphism class, plus a seeded G(n, p) set: n = 8..62 for the
 codecs, n = 17..60 for ``kappa``, n = 8..16 for the rest.  ``kappa`` also
 hashes seeded subcubic graphs with n = 40..60, so it pins the
-connectivity and a fan past the oracles' reach.  ``wm`` hashes the
-rendered ``wm_certificate`` of each vertex x and each of the first six
-4-subsets of N(x) on the curated ``wm``, ``thm44-seeds`` and
+connectivity, a fan and its extension past the oracles' reach.  ``wm``
+hashes the rendered ``wm_certificate`` of each vertex x and each of the
+first six 4-subsets of N(x) on the curated ``wm``, ``thm44-seeds`` and
 ``four-connected`` pools and seeded G(n, p) with n = 8..13.  Graphs
 are built from edge lists with the ``Graph`` constructor, so no family
 relies on the codecs to make its inputs; an exception is hashed as its
@@ -32,6 +32,7 @@ from itertools import chain, combinations, islice
 
 from wheelfree import (
     STATEMENTS,
+    Fan,
     Graph,
     ToolkitError,
     canonical_code,
@@ -39,6 +40,7 @@ from wheelfree import (
     curated_pool,
     ends,
     enumerate_graphs,
+    extend_fan,
     find_k_fan,
     induced_subgraph,
     parse_graph6,
@@ -127,11 +129,17 @@ def end_sets(g: Graph, rnd: random.Random) -> tuple:
 
 def kappa(g: Graph, rnd: random.Random) -> tuple:
     """The connectivity kappa and, if kappa >= 1 and 0 and n-1 are
-    non-adjacent, a kappa-fan from 0 into N(n-1)."""
+    non-adjacent, a kappa-fan from 0 into N(n-1); for kappa >= 2 also
+    that fan's paths longer than one edge (its first path if all are
+    direct) extended back to a kappa-fan."""
     k = vertex_connectivity(g) if g.n else None
     if not k or g.has_edge(0, g.n - 1):
         return (k,)
-    return (k, outcome(find_k_fan, g, 0, g.neighbors(g.n - 1), k))
+    fan = outcome(find_k_fan, g, 0, g.neighbors(g.n - 1), k)
+    if k < 2 or not isinstance(fan, Fan):
+        return (k, fan)
+    part = tuple(p for p in fan.paths if len(p) > 2) or fan.paths[:1]
+    return (k, fan, outcome(extend_fan, g, Fan(fan.origin, fan.targets, part), k))
 
 
 def rendered_wm(g: Graph, x: int, xs: tuple[int, ...]) -> str:
